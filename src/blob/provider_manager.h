@@ -33,16 +33,18 @@ class ProviderManager {
  public:
   ProviderManager(sim::Simulation& sim, net::Fabric& fabric, net::NodeId node,
                   std::vector<DataProvider*> providers,
-                  sim::Duration per_request_cost = 50 * sim::kMicrosecond)
+                  sim::Duration per_request_cost = 50 * sim::kMicrosecond,
+                  const net::TenantRegistry* fair_registry = nullptr)
       : fabric_(&fabric),
         node_(node),
         providers_(std::move(providers)),
         assigned_bytes_(providers_.size(), 0),
-        service_(sim, "provider-manager", per_request_cost) {}
+        service_(sim, "provider-manager", per_request_cost, /*workers=*/1,
+                 fair_registry) {}
 
   net::NodeId node() const { return node_; }
-  /// The manager's request queue (BlobStore flips it to weighted-fair
-  /// dispatch when multi-tenant QoS is on).
+  /// The manager's request queue: FIFO, or weighted-fair per tenant when
+  /// built with a registry (BlobStore passes one when QoS is on).
   net::ServiceQueue& service() { return service_; }
   const net::ServiceQueue& service() const { return service_; }
 

@@ -81,14 +81,10 @@ class BlobStore {
 
     provider_manager_ = std::make_unique<ProviderManager>(
         sim, fabric, cfg.provider_manager_node, std::move(raw),
-        cfg.manager_request_cost);
+        cfg.manager_request_cost, plane_.fair_registry());
     version_manager_ = std::make_unique<VersionManager>(
         sim, fabric, cfg.version_manager_node, cfg.manager_request_cost,
-        cfg.version_shards);
-    if (cfg.qos.enabled) {
-      version_manager_->enable_fair(&plane_.tenants());
-      provider_manager_->service().enable_fair(&plane_.tenants());
-    }
+        cfg.version_shards, plane_.fair_registry());
   }
 
   const Config& config() const { return cfg_; }
@@ -143,7 +139,9 @@ class BlobStore {
     std::uint64_t commits = 0;        // published commits
     std::uint64_t raw_bytes = 0;      // pre-reduction commit payload
     std::uint64_t shipped_bytes = 0;  // post-reduction payload stored
-    sim::Duration commit_wait = 0;    // admission wait at shared queues
+    /// Admission wait at the commit gate and the version/provider manager
+    /// queues — included whether QoS is on (fair) or off (FIFO).
+    sim::Duration commit_wait = 0;
     /// Queueing at the admission plane's data-path gates (filled by
     /// tenant_usage_snapshot from the gates' per-tenant clocks).
     sim::Duration provider_wait = 0;  // provider-io gate
@@ -159,7 +157,7 @@ class BlobStore {
     return it == usage_.end() ? kEmpty : it->second;
   }
   /// Total time `t`'s requests spent queued at the shared admission points:
-  /// the commit gate plus the (fair-mode) version/provider manager queues.
+  /// the commit gate plus the version/provider manager queues.
   sim::Duration tenant_queue_wait(net::TenantId t) const {
     return tenant_usage(t).commit_wait +
            version_manager_->tenant_wait(t) +

@@ -30,17 +30,6 @@ const char* backend_name(Backend b) {
 // --- Cloud -------------------------------------------------------------------
 
 Cloud::Cloud(CloudConfig cfg) : cfg_(std::move(cfg)) {
-  // Deprecated-alias resolution: a non-default CloudConfig::
-  // restart_prefetch_budget forwards into the admission plane's config,
-  // but only when qos.restart_prefetch_budget itself was left at its
-  // default (the new knob wins when both are set).
-  {
-    constexpr std::uint64_t kDefaultBudget = 64 * common::kMB;
-    if (cfg_.restart_prefetch_budget != kDefaultBudget &&
-        cfg_.qos.restart_prefetch_budget == kDefaultBudget) {
-      cfg_.qos.restart_prefetch_budget = cfg_.restart_prefetch_budget;
-    }
-  }
   // Incoherent QoS setups fail here for every backend (the BlobCR stores
   // validate again when their admission planes construct).
   cfg_.qos.validate();
@@ -274,7 +263,7 @@ reduce::ChunkDigestIndex* Cloud::shared_digest_index() {
         cfg_.reduction.index_shards);
     shared_index_->attach_service(
         sim_, cfg_.reduction.index_lookup_cost,
-        cfg_.qos.enabled ? &blob_->tenants() : nullptr);
+        blob_->admission().fair_registry());
     // Repository-lifetime hooks (one set, owned here): entries must drop
     // when the GC reclaims chunks, epoch logging must open/close with the
     // concurrent sweep, and logged hits must count as pinned — all even

@@ -107,10 +107,6 @@ struct CloudConfig {
   /// Per-compute-node decoded-chunk cache (shared by all mirroring modules
   /// on the node; backs the peer exchange). 0 disables.
   std::uint64_t chunk_cache_bytes = 512 * common::kMB;
-  /// Deprecated alias: forwards into qos.restart_prefetch_budget (the
-  /// admission plane owns all QoS knobs now). A non-default value here
-  /// wins only when the qos field was left at its default.
-  std::uint64_t restart_prefetch_budget = 64 * common::kMB;
   sim::Duration proxy_auth_cost = 500 * sim::kMicrosecond;
 
   vm::GuestOsConfig os = vm::GuestOsConfig::debian_like();

@@ -445,9 +445,9 @@ sim::Task<> MirrorDevice::prefetch_worker(std::uint64_t begin,
       qos::IoContext{cfg_.tenant, qos::GateClass::RestartPrefetch},
       static_cast<double>(end - begin));
   (void)admission;
-  // Local stream bound, released through the same RAII pattern as
-  // ServiceQueue::process — a plain release() after the co_await would
-  // leak the slot whenever the worker is killed mid-fetch.
+  // Local stream bound, released by an RAII guard — a plain release()
+  // after the co_await would leak the slot whenever the worker is killed
+  // mid-fetch.
   co_await prefetch_slots_->acquire();
   struct Slot {
     sim::Semaphore* slots;

@@ -272,9 +272,6 @@ Task<> ft_driver(Cloud* cloud, const FtJobConfig* cfg, FtReport* report) {
   // repository-resident catalog, not in this driver's memory.
   cr::Session::Config scfg;
   scfg.retention = cfg->retention;
-  if (scfg.retention.keep_last == 0 && cfg->gc_keep_last > 0) {
-    scfg.retention.keep_last = static_cast<std::size_t>(cfg->gc_keep_last);
-  }
   scfg.job = cfg->job;
   auto session = std::make_unique<cr::Session>(*holder->dep, scfg);
 

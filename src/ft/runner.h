@@ -69,9 +69,6 @@ struct FtJobConfig {
   /// collector. keep_last == 0 disables. The runner only ever rolls back
   /// to the latest complete checkpoint, so keeping 1 is always safe.
   cr::RetentionPolicy retention;
-  /// Deprecated alias for retention.keep_last (> 0 wins only when the
-  /// policy above was left at its default).
-  int gc_keep_last = 0;
   /// Repository tenant this job runs as (multi-tenant clouds; see
   /// Cloud::register_tenant). Namespaces the job's checkpoint catalog and
   /// tags its commits for QoS admission and per-tenant accounting.

@@ -3,15 +3,16 @@
 // metadata-server case). Also provides an RPC convenience that combines
 // request transfer, server processing and response transfer.
 //
-// Multi-tenant repositories can switch a queue to weighted-fair admission
-// (enable_fair): requests tagged with a TenantId are then dispatched in
-// start-time-fair order instead of FIFO, so one tenant's backlog cannot
-// starve another tenant's single request. Untagged requests run as the
+// Every request is admitted through one FairGate with `workers` slots. A
+// queue built without a tenant registry dispatches FIFO; one built with a
+// registry dispatches weighted-fair over its tenant weights, so one
+// tenant's backlog cannot starve another tenant's single request. The
+// discipline is fixed at construction (qos::AdmissionPlane::fair_registry
+// decides it for the repository's queues). Untagged requests run as the
 // default tenant.
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <string>
 
 #include "net/fabric.h"
@@ -23,24 +24,13 @@ namespace blobcr::net {
 class ServiceQueue {
  public:
   ServiceQueue(sim::Simulation& sim, std::string name,
-               sim::Duration per_request_cost, std::int64_t workers = 1)
+               sim::Duration per_request_cost, std::int64_t workers = 1,
+               const TenantRegistry* fair_registry = nullptr)
       : name_(std::move(name)),
         per_request_cost_(per_request_cost),
         sim_(&sim),
-        worker_count_(workers),
-        workers_(sim, workers) {}
-
-  /// Switches this queue to weighted-fair dispatch over `registry`'s tenant
-  /// weights (same worker capacity; only the ordering changes). Call before
-  /// traffic starts — waiters queued under the old discipline stay there.
-  void enable_fair(const TenantRegistry* registry) {
-    if (fair_ == nullptr) {
-      fair_ = std::make_unique<FairGate>(
-          *sim_, static_cast<std::size_t>(worker_count_), registry,
-          /*fair=*/true);
-    }
-  }
-  bool fair_enabled() const { return fair_ != nullptr; }
+        gate_(sim, static_cast<std::size_t>(workers), fair_registry,
+              /*fair=*/fair_registry != nullptr) {}
 
   /// Occupies a worker for the request cost.
   sim::Task<> process() { return process(kDefaultTenant, per_request_cost_); }
@@ -49,33 +39,21 @@ class ServiceQueue {
   }
 
   sim::Task<> process(TenantId tenant, sim::Duration cost) {
-    if (fair_ != nullptr) {
-      FairGate::Permit permit =
-          co_await fair_->enter(tenant, sim::to_seconds(cost));
-      (void)permit;
-      ++requests_;
-      co_await sim_->delay(cost);
-      co_return;  // permit releases (RAII) — also on kill-unwind
-    }
-    co_await workers_.acquire();
-    // RAII: a client process fail-stopped mid-request (crash harness, FT
-    // injection) must return the worker, or a 1-worker service — the
-    // version and provider managers — is wedged for every later caller.
-    struct Permit {
-      sim::Semaphore* workers;
-      ~Permit() { workers->release(); }
-    } permit{&workers_};
+    // The RAII permit returns the worker also when the client is
+    // fail-stopped mid-request (crash harness, FT injection); a leaked
+    // worker would wedge a 1-worker service — the version and provider
+    // managers — for every later caller.
+    FairGate::Permit permit =
+        co_await gate_.enter(tenant, sim::to_seconds(cost));
+    (void)permit;
     ++requests_;
     co_await sim_->delay(cost);
   }
 
   std::uint64_t requests_served() const { return requests_; }
-  std::size_t queue_depth() const {
-    return fair_ != nullptr ? fair_->pending() : workers_.waiting();
-  }
-  /// Per-tenant cumulative admission wait (zero unless fair mode is on).
+  /// Per-tenant cumulative time spent queued for a worker.
   sim::Duration tenant_wait(TenantId tenant) const {
-    return fair_ != nullptr ? fair_->wait_time(tenant) : 0;
+    return gate_.wait_time(tenant);
   }
   const std::string& name() const { return name_; }
 
@@ -83,9 +61,7 @@ class ServiceQueue {
   std::string name_;
   sim::Duration per_request_cost_;
   sim::Simulation* sim_;
-  std::int64_t worker_count_;
-  sim::Semaphore workers_;
-  std::unique_ptr<FairGate> fair_;
+  FairGate gate_;
   std::uint64_t requests_ = 0;
 };
 

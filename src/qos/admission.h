@@ -24,9 +24,9 @@
 // queued unlinks, one killed while holding releases as its frame unwinds.
 //
 // All knobs live in one validated qos::Config (per-gate slot counts plus
-// the restart-prefetch byte budget); the scattered predecessors
-// (net::QosConfig, CloudConfig::restart_prefetch_budget) survive one
-// release as deprecated forwarding aliases.
+// the restart-prefetch byte budget). The fair/FIFO decision is made here
+// once (fair_registry) and handed to every per-server request queue the
+// repository builds.
 #pragma once
 
 #include <cstdint>
@@ -78,7 +78,6 @@ struct Config {
   /// 0 = gate disabled (each device still bounds its own local streams).
   std::size_t prefetch_slots = 0;
   /// Repository bytes the restart scheduler may prefetch per instance.
-  /// (Moved here from CloudConfig::restart_prefetch_budget.)
   std::uint64_t restart_prefetch_budget = 64 * common::kMB;
 
   std::size_t slots(GateClass g) const {
@@ -119,10 +118,16 @@ class AdmissionPlane {
   AdmissionPlane& operator=(const AdmissionPlane&) = delete;
 
   const Config& config() const { return cfg_; }
-  bool fair() const { return cfg_.enabled; }
 
   net::TenantRegistry& tenants() { return tenants_; }
   const net::TenantRegistry& tenants() const { return tenants_; }
+
+  /// The registry a repository request queue (manager daemons, digest-index
+  /// shards) is built with: the tenant table when QoS is on, so the queue
+  /// dispatches weighted-fair, and nullptr (FIFO) when it is off.
+  const net::TenantRegistry* fair_registry() const {
+    return cfg_.enabled ? &tenants_ : nullptr;
+  }
 
   net::FairGate& gate(GateClass g) {
     switch (g) {
@@ -157,9 +162,3 @@ class AdmissionPlane {
 };
 
 }  // namespace blobcr::qos
-
-namespace blobcr::net {
-/// Deprecated alias (one release): net::QosConfig grew per-class slots and
-/// moved to qos::Config alongside the AdmissionPlane it configures.
-using QosConfig = blobcr::qos::Config;
-}  // namespace blobcr::net

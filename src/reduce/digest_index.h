@@ -92,8 +92,9 @@ class ChunkDigestIndex {
 
   /// Attaches one simulated request queue per shard (1 worker each:
   /// a shard's lock). lookup_queued then charges `lookup_cost` per lookup
-  /// at the owning shard's queue; with a registry the queues dispatch
-  /// weighted-fair per tenant. Without attach (the default, cost 0) lookups
+  /// at the owning shard's queue; with a registry (AdmissionPlane::
+  /// fair_registry) the queues dispatch weighted-fair per tenant, without
+  /// one FIFO. Without attach (the default, cost 0) lookups
   /// stay free in-process — the pre-sharding timing model.
   void attach_service(sim::Simulation& sim, sim::Duration lookup_cost,
                       const net::TenantRegistry* fair_registry = nullptr) {
@@ -101,8 +102,8 @@ class ChunkDigestIndex {
     queues_.reserve(shards_.size());
     for (std::size_t s = 0; s < shards_.size(); ++s) {
       queues_.push_back(std::make_unique<net::ServiceQueue>(
-          sim, "digest-shard-" + std::to_string(s), lookup_cost));
-      if (fair_registry != nullptr) queues_.back()->enable_fair(fair_registry);
+          sim, "digest-shard-" + std::to_string(s), lookup_cost,
+          /*workers=*/1, fair_registry));
     }
   }
   bool service_attached() const { return !queues_.empty(); }

@@ -23,7 +23,7 @@ Reducer::Reducer(blob::BlobStore& store, const ReductionConfig& cfg,
     // so its owner — the Cloud — holds the one set of hooks for it.
     own_index_.attach_service(
         store_->simulation(), cfg_.index_lookup_cost,
-        store_->config().qos.enabled ? &store_->tenants() : nullptr);
+        store_->admission().fair_registry());
     hook_id_ = store_->add_chunk_reclaim_hook(
         [this](const std::vector<blob::ChunkId>& ids) {
           index_->forget_chunks(ids);

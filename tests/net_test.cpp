@@ -262,6 +262,9 @@ TEST(ServiceQueueTest, SerializesRequests) {
   EXPECT_NEAR(to_seconds(done[0]), 0.010, 1e-3);
   EXPECT_NEAR(to_seconds(done[1]), 0.020, 1e-3);
   EXPECT_EQ(svc.requests_served(), 2u);
+  // FIFO queues measure their wait too: the second client queued for the
+  // whole of the first one's 10 ms request.
+  EXPECT_EQ(svc.tenant_wait(kDefaultTenant), sim::milliseconds(10));
 }
 
 TEST(ServiceQueueTest, MultipleWorkersOverlap) {
@@ -274,6 +277,47 @@ TEST(ServiceQueueTest, MultipleWorkersOverlap) {
   s.run();
   ASSERT_EQ(done.size(), 2u);
   EXPECT_NEAR(to_seconds(done[1]), 0.010, 1e-3);
+}
+
+Task<> process_at(Simulation& s, ServiceQueue& svc, Duration start,
+                  std::vector<Time>& done) {
+  co_await s.delay(start);
+  co_await svc.process();
+  done.push_back(s.now());
+}
+
+Task<> kill_at(Simulation& s, Duration at, sim::ProcessPtr a,
+               sim::ProcessPtr b) {
+  co_await s.delay(at);
+  a->kill();
+  b->kill();
+}
+
+// A client fail-stopped while queued unlinks, and one fail-stopped while
+// being served returns its worker: the 1-worker FIFO queue keeps serving
+// (a leaked worker would wedge the version and provider managers).
+TEST(ServiceQueueTest, KilledClientsReturnTheirWorker) {
+  Simulation s;
+  ServiceQueue svc(s, "manager", sim::milliseconds(10));
+  std::vector<Time> killed_done;
+  std::vector<Time> done;
+  auto served = s.spawn("served", process_at(s, svc, 0, killed_done));
+  auto queued = s.spawn("queued", process_at(s, svc, 0, killed_done));
+  s.spawn("survivor", process_at(s, svc, sim::milliseconds(1), done));
+  s.spawn("later", process_at(s, svc, sim::milliseconds(50), done));
+  s.spawn("killer", kill_at(s, sim::milliseconds(5), served, queued));
+  s.run();
+
+  EXPECT_TRUE(killed_done.empty());
+  ASSERT_EQ(done.size(), 2u);
+  // The survivor takes the worker the moment the served client dies.
+  EXPECT_EQ(done[0], sim::milliseconds(15));
+  // The later request finds the worker free and runs unqueued.
+  EXPECT_EQ(done[1], sim::milliseconds(60));
+  // Counted: the killed client's request (it held the worker), the
+  // survivor's and the later one's — never the one killed while queued.
+  EXPECT_EQ(svc.requests_served(), 3u);
+  EXPECT_EQ(svc.tenant_wait(kDefaultTenant), sim::milliseconds(4));
 }
 
 }  // namespace
