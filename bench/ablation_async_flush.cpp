@@ -65,7 +65,8 @@ SeriesResult run_series(bool async) {
     // must be the bit-exact final round.
     const core::GlobalCheckpoint ckpt = dep.collect_last_snapshots();
     dep.destroy_all();
-    co_await dep.restart_from(ckpt, 7);
+    co_await dep.restart_from(
+        cr::build_restart_plan(ckpt.snapshots, ckpt.snapshots.size()), 7);
     const common::Buffer back =
         co_await dep.vm(0).fs()->read_file("/data/buffer.bin");
     out->restored_digest = back.digest();

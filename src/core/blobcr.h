@@ -5,6 +5,7 @@
 #include "core/mirror_device.h"  // IWYU pragma: export
 #include "cr/catalog.h"          // IWYU pragma: export
 #include "cr/checkpoint.h"       // IWYU pragma: export
+#include "cr/remap.h"            // IWYU pragma: export
 #include "cr/session.h"          // IWYU pragma: export
 #include "core/proxy.h"          // IWYU pragma: export
 #include "core/qcow_proxy.h"     // IWYU pragma: export

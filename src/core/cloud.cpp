@@ -403,22 +403,13 @@ void Deployment::build_instance_fresh(std::size_t i, net::NodeId node) {
   const CloudConfig& cfg = cloud.config();
 
   if (cfg.backend == Backend::BlobCR) {
-    MirrorDevice::Config mcfg;
-    mcfg.capacity = cloud.image_size();
-    mcfg.flush = flush_cfg_;
-    mcfg.tenant = tenant_;
-    mcfg.redundancy = cloud.redundancy();
-    mcfg.federation = cloud.federation();
     // Placement affinity: a fresh instance clones its own zone's base image
     // so its commits land in the zone-local repository.
     const std::uint32_t zone = cloud.zone_of_node(node);
     blob::BlobStore* store = cloud.blob_store(zone);
     if (store == nullptr) store = cloud.blob_store();
-    inst->mirror = std::make_unique<MirrorDevice>(
-        *store, node, cloud.disk(node), cloud.next_disk_stream(node),
-        cloud.base_blob(zone), 1, mcfg,
-        cfg.adaptive_prefetch ? bus_.get() : nullptr, reducer_for_store(store),
-        cloud.chunk_cache(node));
+    inst->mirror =
+        make_mirror(*store, node, cloud.base_blob(zone), 1, flush_cfg_);
     inst->proxy = std::make_unique<CheckpointProxy>(
         cloud.simulation(), cloud.fabric(), node, cfg.proxy_auth_cost);
   } else {
@@ -609,6 +600,58 @@ sim::Task<> Deployment::wait_drained(std::size_t i) {
   if (inst.mirror) co_await inst.mirror->wait_drained();
 }
 
+std::unique_ptr<MirrorDevice> Deployment::make_mirror(
+    blob::BlobStore& store, net::NodeId node, blob::BlobId image,
+    blob::VersionId version, const flush::FlushConfig& flush) {
+  Cloud& cloud = *cloud_;
+  MirrorDevice::Config mcfg;
+  mcfg.capacity = cloud.image_size();
+  mcfg.flush = flush;
+  mcfg.tenant = tenant_;
+  mcfg.redundancy = cloud.redundancy();
+  mcfg.federation = cloud.federation();
+  return std::make_unique<MirrorDevice>(
+      store, node, cloud.disk(node), cloud.next_disk_stream(node), image,
+      version, mcfg, cloud.config().adaptive_prefetch ? bus_.get() : nullptr,
+      reducer_for_store(&store), cloud.chunk_cache(node));
+}
+
+sim::Task<> Deployment::open_volume(Volume& vol, InstanceSnapshot& snap,
+                                    net::NodeId node,
+                                    const flush::FlushConfig& flush) {
+  Cloud& cloud = *cloud_;
+  if (cloud.config().backend == Backend::BlobCR) {
+    // Federated restart: if the snapshot's home zone died, resolve the
+    // tuple to a survivor-zone adoption of the replicated manifest before
+    // the mirror binds a store.
+    if (snap.image != 0 && snap.version != 0 &&
+        cloud.federation() != nullptr && cloud.federation()->enabled()) {
+      const auto resolved = co_await cloud.federation()->resolve_restart(
+          snap.image, snap.version, node, tenant_);
+      snap.image = resolved.first;
+      snap.version = resolved.second;
+    }
+    blob::BlobStore* store = cloud.store_of_blob(snap.image);
+    if (store == nullptr) store = cloud.blob_store();
+    vol.mirror = make_mirror(*store, node, snap.image, snap.version, flush);
+    co_return;
+  }
+  // The snapshot file is opened straight through the PVFS mount.
+  auto backing = co_await pfs::PvfsFileStore::open(
+      *cloud.pvfs(), node, cloud.base_pvfs_path(), false);
+  vol.qcow_backing = std::move(backing);
+  auto container = co_await pfs::PvfsFileStore::open(
+      *cloud.pvfs(), node, snap.pvfs_path, false);
+  vol.qcow_container = std::move(container);
+  img::QcowImage::Config qcfg;
+  qcfg.cluster_size = cloud.config().qcow_cluster_size;
+  qcfg.virtual_size = cloud.image_size();
+  vol.qcow = std::make_unique<img::QcowImage>(*vol.qcow_container,
+                                              vol.qcow_backing.get(), qcfg);
+  co_await vol.qcow->open_existing(snap.qcow_state);
+  vol.qcow_dev = std::make_unique<img::QcowDevice>(*vol.qcow);
+}
+
 sim::Task<> Deployment::build_instance_from_snapshot(std::size_t i,
                                                      net::NodeId node,
                                                      InstanceSnapshot snap,
@@ -617,38 +660,14 @@ sim::Task<> Deployment::build_instance_from_snapshot(std::size_t i,
   auto inst = std::make_unique<Instance>();
   inst->index = i;
   inst->node = node;
-  inst->last_snapshot = snap;
-  inst->snapshot_counter = 0;
   Cloud& cloud = *cloud_;
   const CloudConfig& cfg = cloud.config();
 
-  if (cfg.backend == Backend::BlobCR) {
-    // Federated restart: if the snapshot's home zone died, resolve the
-    // tuple to a survivor-zone adoption of the replicated manifest before
-    // the mirror binds a store. The instance records the *resolved* tuple
-    // so later restarts and retention act on the adopted lineage.
-    if (snap.image != 0 && snap.version != 0 &&
-        cloud.federation() != nullptr && cloud.federation()->enabled()) {
-      const auto resolved = co_await cloud.federation()->resolve_restart(
-          snap.image, snap.version, node, tenant_);
-      snap.image = resolved.first;
-      snap.version = resolved.second;
-      inst->last_snapshot.image = snap.image;
-      inst->last_snapshot.version = snap.version;
-    }
-    MirrorDevice::Config mcfg;
-    mcfg.capacity = cloud.image_size();
-    mcfg.flush = flush_cfg_;
-    mcfg.tenant = tenant_;
-    mcfg.redundancy = cloud.redundancy();
-    mcfg.federation = cloud.federation();
-    blob::BlobStore* store = cloud.store_of_blob(snap.image);
-    if (store == nullptr) store = cloud.blob_store();
-    inst->mirror = std::make_unique<MirrorDevice>(
-        *store, node, cloud.disk(node), cloud.next_disk_stream(node),
-        snap.image, snap.version, mcfg,
-        cfg.adaptive_prefetch ? bus_.get() : nullptr, reducer_for_store(store),
-        cloud.chunk_cache(node));
+  co_await open_volume(*inst, snap, node, flush_cfg_);
+  // The instance records the *resolved* tuple so later restarts and
+  // retention act on the adopted lineage.
+  inst->last_snapshot = snap;
+  if (inst->mirror) {
     // Subsequent checkpoints land in the same checkpoint image — except for
     // an elastic clone (M > N), which shares its source tuple with another
     // instance and must derive a fresh image on its first commit instead.
@@ -656,20 +675,6 @@ sim::Task<> Deployment::build_instance_from_snapshot(std::size_t i,
     inst->proxy = std::make_unique<CheckpointProxy>(
         cloud.simulation(), cloud.fabric(), node, cfg.proxy_auth_cost);
   } else {
-    // The snapshot file is opened straight through the PVFS mount.
-    auto backing = co_await pfs::PvfsFileStore::open(
-        *cloud.pvfs(), node, cloud.base_pvfs_path(), false);
-    inst->qcow_backing = std::move(backing);
-    auto container = co_await pfs::PvfsFileStore::open(
-        *cloud.pvfs(), node, snap.pvfs_path, false);
-    inst->qcow_container = std::move(container);
-    img::QcowImage::Config qcfg;
-    qcfg.cluster_size = cfg.qcow_cluster_size;
-    qcfg.virtual_size = cloud.image_size();
-    inst->qcow = std::make_unique<img::QcowImage>(
-        *inst->qcow_container, inst->qcow_backing.get(), qcfg);
-    co_await inst->qcow->open_existing(snap.qcow_state);
-    inst->qcow_dev = std::make_unique<img::QcowDevice>(*inst->qcow);
     inst->qdisk_proxy = std::make_unique<QcowDiskProxy>(
         cloud.simulation(), cloud.fabric(), node, cfg.proxy_auth_cost);
     inst->qfull_proxy = std::make_unique<QcowFullProxy>(
@@ -703,19 +708,25 @@ void Deployment::kill_restart_scheduler() {
   restart_scheduler_ = nullptr;
 }
 
-void Deployment::prepare_restart(std::size_t count, std::size_t node_offset) {
+sim::Task<> Deployment::restart_from(const RestartPlan& plan,
+                                     std::size_t node_offset) {
   kill_restart_scheduler();  // it references the mirrors cleared below
   destroy_all();
   // Fresh namespace for post-restart snapshot files.
   seq_ = cloud_->next_deployment_seq();
   node_offset_ = node_offset;
-  count_ = count;
+  count_ = plan.instances.size();
   validate_placement();
   instances_.clear();
   instances_.resize(count_);
-}
+  std::vector<sim::Task<>> boots;
+  boots.reserve(count_);
+  for (std::size_t i = 0; i < count_; ++i) {
+    boots.push_back(build_instance_from_plan(
+        i, cloud_->compute_node(node_offset + i), plan.instances[i]));
+  }
+  co_await sim::when_all(cloud_->simulation(), std::move(boots));
 
-void Deployment::spawn_restart_scheduler() {
   // Restart scheduler: resolve every attached mirror's snapshot to chunk
   // identity tuples and start popularity-ordered background prefetch
   // (most-shared chunks first), so one repository fetch per distinct chunk
@@ -733,32 +744,6 @@ void Deployment::spawn_restart_scheduler() {
   }
 }
 
-sim::Task<> Deployment::restart_from(const GlobalCheckpoint& ckpt,
-                                     std::size_t node_offset) {
-  prepare_restart(ckpt.snapshots.size(), node_offset);
-  std::vector<sim::Task<>> boots;
-  boots.reserve(count_);
-  for (std::size_t i = 0; i < count_; ++i) {
-    boots.push_back(build_instance_from_snapshot(
-        i, cloud_->compute_node(node_offset + i), ckpt.snapshots[i]));
-  }
-  co_await sim::when_all(cloud_->simulation(), std::move(boots));
-  spawn_restart_scheduler();
-}
-
-sim::Task<> Deployment::restart_from(const RestartPlan& plan,
-                                     std::size_t node_offset) {
-  prepare_restart(plan.instances.size(), node_offset);
-  std::vector<sim::Task<>> boots;
-  boots.reserve(count_);
-  for (std::size_t i = 0; i < count_; ++i) {
-    boots.push_back(build_instance_from_plan(
-        i, cloud_->compute_node(node_offset + i), plan.instances[i]));
-  }
-  co_await sim::when_all(cloud_->simulation(), std::move(boots));
-  spawn_restart_scheduler();
-}
-
 sim::Task<> Deployment::build_instance_from_plan(std::size_t i,
                                                  net::NodeId node,
                                                  const InstancePlan& plan) {
@@ -766,52 +751,14 @@ sim::Task<> Deployment::build_instance_from_plan(std::size_t i,
                                         /*adopt_image=*/!plan.fresh_image);
   // Extra shards (elastic M < N) come up as attached data volumes on the
   // same node, served by the same restart data plane as the boot device.
+  // Nothing commits through a data volume: no async drain, but the parity
+  // tier still protects chunks its fetches seed into the cache.
   Instance& inst = *instances_.at(i);
-  Cloud& cloud = *cloud_;
-  const CloudConfig& cfg = cloud.config();
+  const flush::FlushConfig no_flush;
   for (const InstanceSnapshot& src : plan.attached) {
     auto vol = std::make_unique<AttachedVolume>();
     vol->source = src;
-    if (cfg.backend == Backend::BlobCR) {
-      InstanceSnapshot resolved = src;
-      if (resolved.image != 0 && resolved.version != 0 &&
-          cloud.federation() != nullptr && cloud.federation()->enabled()) {
-        const auto r = co_await cloud.federation()->resolve_restart(
-            resolved.image, resolved.version, node, tenant_);
-        resolved.image = r.first;
-        resolved.version = r.second;
-        vol->source = resolved;
-      }
-      MirrorDevice::Config acfg;
-      acfg.capacity = cloud.image_size();
-      // Nothing commits through a data volume: no async drain, but the
-      // parity tier still protects chunks its fetches seed into the cache.
-      acfg.flush = flush::FlushConfig{};
-      acfg.tenant = tenant_;
-      acfg.redundancy = cloud.redundancy();
-      acfg.federation = cloud.federation();
-      blob::BlobStore* store = cloud.store_of_blob(resolved.image);
-      if (store == nullptr) store = cloud.blob_store();
-      vol->mirror = std::make_unique<MirrorDevice>(
-          *store, node, cloud.disk(node), cloud.next_disk_stream(node),
-          resolved.image, resolved.version, acfg,
-          cfg.adaptive_prefetch ? bus_.get() : nullptr,
-          reducer_for_store(store), cloud.chunk_cache(node));
-    } else {
-      auto backing = co_await pfs::PvfsFileStore::open(
-          *cloud.pvfs(), node, cloud.base_pvfs_path(), false);
-      vol->qcow_backing = std::move(backing);
-      auto container = co_await pfs::PvfsFileStore::open(
-          *cloud.pvfs(), node, src.pvfs_path, false);
-      vol->qcow_container = std::move(container);
-      img::QcowImage::Config qcfg;
-      qcfg.cluster_size = cfg.qcow_cluster_size;
-      qcfg.virtual_size = cloud.image_size();
-      vol->qcow = std::make_unique<img::QcowImage>(
-          *vol->qcow_container, vol->qcow_backing.get(), qcfg);
-      co_await vol->qcow->open_existing(src.qcow_state);
-      vol->qcow_dev = std::make_unique<img::QcowDevice>(*vol->qcow);
-    }
+    co_await open_volume(*vol, vol->source, node, no_flush);
     inst.attached.push_back(std::move(vol));
   }
 }
@@ -828,64 +775,37 @@ sim::Task<sim::Duration> Deployment::migrate_instance(std::size_t i,
   co_return cloud_->simulation().now() - t0;
 }
 
-std::uint64_t Deployment::boot_remote_bytes() const {
+std::uint64_t Deployment::sum_mirrors(
+    std::uint64_t (MirrorDevice::*counter)() const) const {
   std::uint64_t total = 0;
   for (const auto& inst : instances_) {
     if (!inst) continue;
-    if (inst->mirror) total += inst->mirror->remote_bytes_fetched();
+    if (inst->mirror) total += (inst->mirror.get()->*counter)();
     for (const auto& vol : inst->attached) {
-      if (vol->mirror) total += vol->mirror->remote_bytes_fetched();
+      if (vol->mirror) total += (vol->mirror.get()->*counter)();
     }
   }
   return total;
+}
+
+std::uint64_t Deployment::boot_remote_bytes() const {
+  return sum_mirrors(&MirrorDevice::remote_bytes_fetched);
 }
 
 std::uint64_t Deployment::boot_repo_bytes() const {
-  std::uint64_t total = 0;
-  for (const auto& inst : instances_) {
-    if (!inst) continue;
-    if (inst->mirror) total += inst->mirror->repo_bytes_fetched();
-    for (const auto& vol : inst->attached) {
-      if (vol->mirror) total += vol->mirror->repo_bytes_fetched();
-    }
-  }
-  return total;
+  return sum_mirrors(&MirrorDevice::repo_bytes_fetched);
 }
 
 std::uint64_t Deployment::boot_peer_bytes() const {
-  std::uint64_t total = 0;
-  for (const auto& inst : instances_) {
-    if (!inst) continue;
-    if (inst->mirror) total += inst->mirror->peer_bytes_fetched();
-    for (const auto& vol : inst->attached) {
-      if (vol->mirror) total += vol->mirror->peer_bytes_fetched();
-    }
-  }
-  return total;
+  return sum_mirrors(&MirrorDevice::peer_bytes_fetched);
 }
 
 std::uint64_t Deployment::boot_parity_bytes() const {
-  std::uint64_t total = 0;
-  for (const auto& inst : instances_) {
-    if (!inst) continue;
-    if (inst->mirror) total += inst->mirror->parity_bytes_rebuilt();
-    for (const auto& vol : inst->attached) {
-      if (vol->mirror) total += vol->mirror->parity_bytes_rebuilt();
-    }
-  }
-  return total;
+  return sum_mirrors(&MirrorDevice::parity_bytes_rebuilt);
 }
 
 std::uint64_t Deployment::boot_wan_bytes() const {
-  std::uint64_t total = 0;
-  for (const auto& inst : instances_) {
-    if (!inst) continue;
-    if (inst->mirror) total += inst->mirror->wan_bytes_fetched();
-    for (const auto& vol : inst->attached) {
-      if (vol->mirror) total += vol->mirror->wan_bytes_fetched();
-    }
-  }
-  return total;
+  return sum_mirrors(&MirrorDevice::wan_bytes_fetched);
 }
 
 sim::Task<std::optional<Deployment::PeerPayload>>

@@ -138,9 +138,9 @@ struct GlobalCheckpoint {
   }
 };
 
-/// One new instance's share of an elastic (N -> M) restart: the snapshot it
-/// boots from, plus any extra source tuples it adopts as attached data
-/// volumes (M < N shards). Built by cr::build_restart_plan (src/cr/remap.h).
+/// One new instance's share of an N -> M restart: the snapshot it boots
+/// from, plus any extra source tuples it adopts as attached data volumes
+/// (M < N shards). Built by cr::build_restart_plan (src/cr/remap.h).
 struct InstancePlan {
   InstanceSnapshot boot;
   /// M > N clones: the instance lazy-fetches the source snapshot but must
@@ -150,8 +150,8 @@ struct InstancePlan {
   std::vector<InstanceSnapshot> attached;
 };
 
-/// The instance-level payload of a rescaling restart: one InstancePlan per
-/// new instance, replacing the classic path's implied 1:1 tuple mapping.
+/// The instance-level payload of every restart: one InstancePlan per new
+/// instance (the identity plan when the width is kept).
 struct RestartPlan {
   std::vector<InstancePlan> instances;
 };
@@ -324,15 +324,10 @@ class Deployment {
     std::optional<flush::FlushConfig> flush;
   };
 
-  /// An extra source snapshot an instance adopted across an elastic shrink
-  /// (M < N): a full device image of one pre-rescale instance, attached as
-  /// a data volume next to the boot disk. Read-only in spirit — nothing
-  /// commits through it — but served by the same content-addressed restart
-  /// data plane (lazy fetch, peer copies, scheduled prefetch) as the boot
-  /// device.
-  struct AttachedVolume {
-    InstanceSnapshot source;
-    // Exactly one device family is populated, by backend.
+  /// One virtual disk: exactly one device family is populated, by backend
+  /// (a BlobCR mirroring module, or a qcow image over its backing file and
+  /// container).
+  struct Volume {
     std::unique_ptr<MirrorDevice> mirror;
     std::unique_ptr<pfs::PvfsFileStore> qcow_backing;
     std::unique_ptr<storage::ByteStore> qcow_container;
@@ -345,16 +340,21 @@ class Deployment {
     }
   };
 
-  struct Instance {
+  /// An extra source snapshot an instance adopted across an elastic shrink
+  /// (M < N): a full device image of one pre-rescale instance, attached as
+  /// a data volume next to the boot disk. Read-only in spirit — nothing
+  /// commits through it — but served by the same content-addressed restart
+  /// data plane (lazy fetch, peer copies, scheduled prefetch) as the boot
+  /// device.
+  struct AttachedVolume : Volume {
+    InstanceSnapshot source;
+  };
+
+  /// A VM instance; its Volume is the boot disk.
+  struct Instance : Volume {
     std::size_t index = 0;
     net::NodeId node = 0;
     bool failed = false;
-    // Exactly one device family is populated, by backend.
-    std::unique_ptr<MirrorDevice> mirror;
-    std::unique_ptr<pfs::PvfsFileStore> qcow_backing;
-    std::unique_ptr<storage::ByteStore> qcow_container;
-    std::unique_ptr<img::QcowImage> qcow;
-    std::unique_ptr<img::QcowDevice> qcow_dev;
     std::unique_ptr<vm::VmInstance> vm;
     std::unique_ptr<CheckpointProxy> proxy;
     std::unique_ptr<QcowDiskProxy> qdisk_proxy;
@@ -363,11 +363,6 @@ class Deployment {
     InstanceSnapshot last_snapshot;
     /// Extra pre-rescale shards adopted by this instance (elastic M < N).
     std::vector<std::unique_ptr<AttachedVolume>> attached;
-
-    img::BlockDevice& device() {
-      if (mirror) return *mirror;
-      return *qcow_dev;
-    }
   };
 
   Deployment(Cloud& cloud, std::size_t instances,
@@ -446,21 +441,16 @@ class Deployment {
   /// Fail-stop of one instance's node.
   void fail_instance(std::size_t i);
 
-  /// Tears down whatever is left and re-deploys every instance from its
-  /// snapshot in `ckpt`, shifted to fresh nodes, booting in parallel.
-  /// For BlobCR/qcow2-disk instances this reboots the guest OS; qcow2-full
-  /// resumes from the full VM snapshot without a reboot. `ckpt` must stay
-  /// alive until the task completes (each instance copies only its own
-  /// snapshot; the checkpoint is no longer deep-copied per rollback).
-  sim::Task<> restart_from(const GlobalCheckpoint& ckpt,
-                           std::size_t node_offset);
-
-  /// Elastic restart: rebuilds the deployment from a per-instance plan
-  /// (possibly a different instance count than before — see cr/remap.h for
-  /// the shard assignment). Each instance boots from its plan's boot
-  /// snapshot; extra shards come up as attached data volumes; fresh_image
-  /// instances derive a new checkpoint image on their first commit. The
-  /// plan must stay alive until the task completes.
+  /// Tears down whatever is left and re-deploys the job from a per-instance
+  /// plan (cr::build_restart_plan, src/cr/remap.h) on fresh nodes, booting
+  /// in parallel. This is the one restart path: a plan of the checkpoint's
+  /// own width is the identity (instance i boots from tuple i), other
+  /// widths rescale. Each instance boots from its plan's boot snapshot;
+  /// extra shards come up as attached data volumes; fresh_image instances
+  /// derive a new checkpoint image on their first commit. BlobCR and
+  /// qcow2-disk instances reboot the guest OS; qcow2-full resumes from the
+  /// full VM snapshot without a reboot. The plan must stay alive until the
+  /// task completes.
   sim::Task<> restart_from(const RestartPlan& plan, std::size_t node_offset);
 
   /// Test scaffolding (crash-harness style, like flush's stage probes):
@@ -508,12 +498,19 @@ class Deployment {
   /// nodes (the redundancy tier's durability and the peer-vs-repo byte
   /// accounting both assume one instance per node).
   void validate_placement() const;
-  /// Shared restart prologue: kill the scheduler, tear down, re-namespace,
-  /// adopt the new count/offset (validated) and clear the instance table.
-  void prepare_restart(std::size_t count, std::size_t node_offset);
-  /// Spawns the popularity-ordered background prefetch over every mirror
-  /// attached to the bus (boot devices AND attached volumes).
-  void spawn_restart_scheduler();
+  /// A BlobCR mirroring module on `node` over (`image`, `version`) in
+  /// `store`, wired to this deployment's tenant, bus, reducer and caches.
+  std::unique_ptr<MirrorDevice> make_mirror(blob::BlobStore& store,
+                                            net::NodeId node,
+                                            blob::BlobId image,
+                                            blob::VersionId version,
+                                            const flush::FlushConfig& flush);
+  /// Builds `vol`'s device on `node` from snapshot `snap`: a mirror over
+  /// the snapshot's store (BlobCR; a federated tuple is first resolved to
+  /// its survivor-zone adoption, written back into `snap`), else the qcow
+  /// chain opened from the PVFS copy.
+  sim::Task<> open_volume(Volume& vol, InstanceSnapshot& snap,
+                          net::NodeId node, const flush::FlushConfig& flush);
   void build_instance_fresh(std::size_t i, net::NodeId node);
   sim::Task<> build_instance_from_snapshot(std::size_t i, net::NodeId node,
                                            InstanceSnapshot snap,
@@ -521,6 +518,9 @@ class Deployment {
   sim::Task<> build_instance_from_plan(std::size_t i, net::NodeId node,
                                        const InstancePlan& plan);
   sim::Task<> boot_instance(std::size_t i);
+  /// Sums `counter` over every mirror: boot devices and attached volumes.
+  std::uint64_t sum_mirrors(
+      std::uint64_t (MirrorDevice::*counter)() const) const;
   /// The reducer matching a mirror's store: commits through a zone-z store
   /// must reduce through the zone-z reducer, whose index lookups prefer —
   /// and whose GC pins register in — that same zone.

@@ -103,12 +103,12 @@ class Session {
     /// on-different-nodes semantics); leave false for FT rollbacks where
     /// survivors keep serving peer copies.
     bool cold_caches = false;
-    /// Elastic restart: target instance count M. 0 (or the record's own
-    /// tuple count) restarts 1:1 like today; any other value remaps the N
-    /// recorded tuples onto M fresh instances through the content-addressed
-    /// plane (see cr/remap.h — contiguous shards, attached volumes for
-    /// M < N, fresh checkpoint images for M > N clones). Rescaling a
-    /// qcow2-full record throws CrError.
+    /// Target instance count M. 0 (or the record's own tuple count) keeps
+    /// the width: the identity plan, instance i from tuple i. Any other
+    /// value remaps the N recorded tuples onto M fresh instances through
+    /// the content-addressed plane (see cr/remap.h — contiguous shards,
+    /// attached volumes for M < N, fresh checkpoint images for M > N
+    /// clones). Rescaling a qcow2-full record throws CrError.
     std::size_t instances = 0;
   };
 

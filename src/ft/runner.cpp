@@ -15,7 +15,6 @@ namespace blobcr::ft {
 
 using core::Cloud;
 using core::Deployment;
-using core::GlobalCheckpoint;
 using sim::Task;
 
 const char* dump_mode_name(DumpMode mode) {
@@ -222,6 +221,38 @@ Task<> restore_worker(Deployment* dep, EpochParams p,
   if (p.real_data) st->restore_ok[p.rank] = ok;
 }
 
+/// The restore wave after any restart (rollback or rescale): rebinds the
+/// MPI world to the restarted deployment's width, restores every rank
+/// (verifying its state when `real_data`) and adds the restart data
+/// plane's fetch counters to the report. The mirrors are fresh per
+/// restart, so the counters cover exactly this restart's lazy-fetch
+/// traffic (sampled before the next epoch adds copy-ups).
+Task<> restore_all(Deployment& dep, const FtJobConfig& cfg,
+                   std::shared_ptr<JobShared> st, FtReport& report,
+                   const char* guest_prefix, bool real_data) {
+  const std::size_t n = dep.size();
+  dep.mpi().reset_for_restart();
+  dep.mpi().resize_world(static_cast<int>(n));
+  for (std::size_t i = 0; i < n; ++i) {
+    EpochParams p;
+    p.rank = i;
+    p.epoch = st->epoch;
+    p.state_bytes = cfg.state_bytes;
+    p.real_data = real_data;
+    p.mode = cfg.mode;
+    Deployment* dp = &dep;
+    dep.vm(i).start_guest(
+        common::strf("%s%zu", guest_prefix, i),
+        [dp, p, st](vm::GuestProcess& gp) -> Task<> {
+          co_await restore_worker(dp, p, st, &gp);
+        });
+  }
+  for (std::size_t i = 0; i < n; ++i) co_await dep.vm(i).join_guests();
+  report.restart_repo_bytes += dep.boot_repo_bytes();
+  report.restart_peer_bytes += dep.boot_peer_bytes();
+  report.parity_bytes_rebuilt += dep.boot_parity_bytes();
+}
+
 /// Replays the failure schedule against the live deployment. Events landing
 /// outside an active epoch (during detection/rollback) are deferred to the
 /// next epoch start.
@@ -378,28 +409,8 @@ Task<> ft_driver(Cloud* cloud, const FtJobConfig* cfg, FtReport* report) {
           st->resize_unverified(dep.size());
           n = dep.size();
         }
-        dep.mpi().reset_for_restart();
-        dep.mpi().resize_world(static_cast<int>(n));
-        for (std::size_t i = 0; i < n; ++i) {
-          EpochParams p;
-          p.rank = i;
-          p.epoch = st->epoch;
-          p.state_bytes = cfg->state_bytes;
-          p.real_data = cfg->real_data && width_kept;
-          p.mode = cfg->mode;
-          Deployment* dp = &dep;
-          dep.vm(i).start_guest(
-              common::strf("ft-restore-r%zu", i),
-              [dp, p, st](vm::GuestProcess& gp) -> Task<> {
-                co_await restore_worker(dp, p, st, &gp);
-              });
-        }
-        for (std::size_t i = 0; i < n; ++i) co_await dep.vm(i).join_guests();
-        // Fresh mirrors per rollback: the counters cover this restart's
-        // lazy-fetch traffic (sampled before the next epoch adds copy-ups).
-        report->restart_repo_bytes += dep.boot_repo_bytes();
-        report->restart_peer_bytes += dep.boot_peer_bytes();
-        report->parity_bytes_rebuilt += dep.boot_parity_bytes();
+        co_await restore_all(dep, *cfg, st, *report, "ft-restore-r",
+                             cfg->real_data && width_kept);
       } else {
         // Failure during the initial checkpoint: no rollback target exists,
         // so resubmit from scratch — a fresh deployment from the base image.
@@ -442,28 +453,10 @@ Task<> ft_driver(Cloud* cloud, const FtJobConfig* cfg, FtReport* report) {
         ropts.node_offset = shift;
         ropts.instances = m;
         (void)co_await session->restart(cr::Selector::latest(), ropts);
-        dep.mpi().reset_for_restart();
-        dep.mpi().resize_world(static_cast<int>(m));
         st->rescale(m);
         n = m;
-        for (std::size_t i = 0; i < n; ++i) {
-          EpochParams p;
-          p.rank = i;
-          p.epoch = st->epoch;
-          p.state_bytes = cfg->state_bytes;
-          p.real_data = cfg->real_data;
-          p.mode = cfg->mode;
-          Deployment* dp = &dep;
-          dep.vm(i).start_guest(
-              common::strf("ft-rescale-r%zu", i),
-              [dp, p, st](vm::GuestProcess& gp) -> Task<> {
-                co_await restore_worker(dp, p, st, &gp);
-              });
-        }
-        for (std::size_t i = 0; i < n; ++i) co_await dep.vm(i).join_guests();
-        report->restart_repo_bytes += dep.boot_repo_bytes();
-        report->restart_peer_bytes += dep.boot_peer_bytes();
-        report->parity_bytes_rebuilt += dep.boot_parity_bytes();
+        co_await restore_all(dep, *cfg, st, *report, "ft-rescale-r",
+                             cfg->real_data);
         ++report->rescales;
         report->rescale_overhead += sim.now() - t0;
         force_ckpt = true;

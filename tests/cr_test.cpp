@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstddef>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -490,7 +491,7 @@ TEST(CrElasticTest, EqualCountDegeneratesToClassicRestart) {
     Session::RestartOptions opts;
     opts.node_offset = 2;
     opts.cold_caches = true;
-    opts.instances = 2;  // M == N: today's 1:1 path
+    opts.instances = 2;  // M == N: the identity plan
     (void)co_await session.restart(Selector::latest(), opts);
     EXPECT_EQ(dep.size(), 2u);
     EXPECT_EQ(dep.attached_count(0), 0u);
@@ -592,12 +593,14 @@ TEST(CrElasticTest, GrowBeyondComputePoolRefused) {
 }
 
 // qcow2-full resumes full VM state (rank count baked in): rescaling is
-// refused before the running deployment is torn down.
+// refused before the running deployment is torn down, while a restart at
+// the record's own width resumes every instance bit-exactly.
 TEST(CrElasticTest, QcowFullRescaleRefusedWithoutTeardown) {
   Cloud cloud(tiny_cfg(Backend::Qcow2Full));
-  bool threw = false, still_ok = false;
+  bool threw = false, still_ok = false, resumed_ok = false;
 
-  cloud.run([](Cloud* cl, bool* threw, bool* still_ok) -> Task<> {
+  cloud.run([](Cloud* cl, bool* threw, bool* still_ok,
+               bool* resumed_ok) -> Task<> {
     co_await cl->provision_base_image();
     Deployment dep(*cl, 2);
     Session session(dep);
@@ -616,10 +619,125 @@ TEST(CrElasticTest, QcowFullRescaleRefusedWithoutTeardown) {
     // its state is intact.
     *still_ok = (co_await state_matches(&dep.vm(0), 80)) &&
                 (co_await state_matches(&dep.vm(1), 81));
-  }(&cloud, &threw, &still_ok));
+
+    // M == N: the identity plan resumes both full-VM snapshots.
+    dep.destroy_all();
+    (void)co_await session.restart(Selector::latest(), /*node_offset=*/2);
+    EXPECT_EQ(dep.size(), 2u);
+    *resumed_ok = (co_await state_matches(&dep.vm(0), 80)) &&
+                  (co_await state_matches(&dep.vm(1), 81));
+  }(&cloud, &threw, &still_ok, &resumed_ok));
 
   EXPECT_TRUE(threw);
   EXPECT_TRUE(still_ok);
+  EXPECT_TRUE(resumed_ok);
+}
+
+// ---------------------------------------------------------------------------
+// build_restart_plan: the pure remap every restart runs through, checked
+// without a deployment.
+// ---------------------------------------------------------------------------
+
+/// Source tuple i carries image 100 + i, so a plan entry names its source.
+std::vector<core::InstanceSnapshot> source_line(
+    std::size_t n, Backend backend = Backend::BlobCR) {
+  std::vector<core::InstanceSnapshot> line(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    line[i].instance = i;
+    line[i].backend = backend;
+    line[i].image = 100 + i;
+    line[i].version = 1 + i;
+    line[i].pvfs_path = "/ckpt/inst" + std::to_string(i) + ".qcow2";
+    line[i].bytes = 1000 * (i + 1);
+  }
+  return line;
+}
+
+std::size_t source_of(const core::InstanceSnapshot& s) { return s.image - 100; }
+
+TEST(CrRestartPlanTest, EqualCountIsTheIdentityPlan) {
+  for (const Backend backend :
+       {Backend::BlobCR, Backend::Qcow2Disk, Backend::Qcow2Full}) {
+    const std::vector<core::InstanceSnapshot> line = source_line(4, backend);
+    const core::RestartPlan plan = build_restart_plan(line, 4);
+    ASSERT_EQ(plan.instances.size(), 4u);
+    for (std::size_t i = 0; i < 4; ++i) {
+      const core::InstancePlan& ip = plan.instances[i];
+      EXPECT_EQ(ip.boot.instance, i);
+      EXPECT_EQ(ip.boot.backend, backend);
+      EXPECT_EQ(ip.boot.image, line[i].image);
+      EXPECT_EQ(ip.boot.version, line[i].version);
+      EXPECT_EQ(ip.boot.pvfs_path, line[i].pvfs_path);
+      EXPECT_EQ(ip.boot.bytes, line[i].bytes);
+      EXPECT_TRUE(ip.attached.empty());
+      EXPECT_FALSE(ip.fresh_image);
+    }
+  }
+}
+
+TEST(CrRestartPlanTest, ShrinkShardsAreContiguousAndCoverEachSourceOnce) {
+  for (const std::size_t n : {2u, 5u, 7u, 12u}) {
+    const std::vector<core::InstanceSnapshot> line = source_line(n);
+    for (std::size_t m = 1; m < n; ++m) {
+      const core::RestartPlan plan = build_restart_plan(line, m);
+      ASSERT_EQ(plan.instances.size(), m);
+      // Walking every instance's boot tuple then its attached volumes must
+      // visit the sources 0..n-1 in order, each exactly once.
+      std::size_t next = 0;
+      for (std::size_t i = 0; i < m; ++i) {
+        const core::InstancePlan& ip = plan.instances[i];
+        EXPECT_EQ(ip.boot.instance, i);
+        EXPECT_FALSE(ip.fresh_image);
+        EXPECT_EQ(source_of(ip.boot), next++) << "n=" << n << " m=" << m;
+        for (const core::InstanceSnapshot& a : ip.attached)
+          EXPECT_EQ(source_of(a), next++) << "n=" << n << " m=" << m;
+      }
+      EXPECT_EQ(next, n) << "n=" << n << " m=" << m;
+    }
+  }
+}
+
+TEST(CrRestartPlanTest, GrowMarksOnlyLaterUsersOfASourceFresh) {
+  for (const std::size_t n : {1u, 2u, 3u, 5u}) {
+    const std::vector<core::InstanceSnapshot> line = source_line(n);
+    for (std::size_t m = n + 1; m <= 3 * n + 1; ++m) {
+      const core::RestartPlan plan = build_restart_plan(line, m);
+      ASSERT_EQ(plan.instances.size(), m);
+      std::vector<bool> used(n, false);
+      for (std::size_t i = 0; i < m; ++i) {
+        const core::InstancePlan& ip = plan.instances[i];
+        const std::size_t src = source_of(ip.boot);
+        ASSERT_LT(src, n);
+        EXPECT_EQ(src, remap_source(i, n, m));
+        EXPECT_EQ(ip.boot.instance, i);
+        EXPECT_TRUE(ip.attached.empty());
+        // The first user of a source keeps its checkpoint image.
+        EXPECT_EQ(ip.fresh_image, used[src]) << "n=" << n << " m=" << m
+                                             << " i=" << i;
+        used[src] = true;
+      }
+      EXPECT_EQ(std::count(used.begin(), used.end(), true),
+                static_cast<std::ptrdiff_t>(n));
+    }
+  }
+}
+
+TEST(CrRestartPlanTest, QcowFullOnlyRestartsAtItsOwnWidth) {
+  const std::vector<core::InstanceSnapshot> full =
+      source_line(3, Backend::Qcow2Full);
+  EXPECT_NO_THROW((void)build_restart_plan(full, 3));
+  EXPECT_THROW((void)build_restart_plan(full, 2), CrError);
+  EXPECT_THROW((void)build_restart_plan(full, 4), CrError);
+  // One full-VM tuple is enough to refuse a rescale of the whole line.
+  std::vector<core::InstanceSnapshot> mixed = source_line(3);
+  mixed[1].backend = Backend::Qcow2Full;
+  EXPECT_THROW((void)build_restart_plan(mixed, 2), CrError);
+}
+
+TEST(CrRestartPlanTest, RefusesEmptyLineAndZeroWidth) {
+  EXPECT_THROW((void)build_restart_plan({}, 1), CrError);
+  EXPECT_THROW((void)build_restart_plan({}, 0), CrError);
+  EXPECT_THROW((void)build_restart_plan(source_line(2), 0), CrError);
 }
 
 // ---------------------------------------------------------------------------

@@ -91,7 +91,9 @@ TEST_P(CheckpointRestartTest, FullLifecycleRestoresStateAndRollsBackIo) {
 
     // Catastrophic failure; redeploy on different nodes (shift by 2).
     dep.destroy_all();
-    co_await dep.restart_from(ckpt, /*node_offset=*/2);
+    co_await dep.restart_from(
+        cr::build_restart_plan(ckpt.snapshots, ckpt.snapshots.size()),
+        /*node_offset=*/2);
 
     co_await verify_state(&dep.vm(0), 1000, &(*out)[0]);
     co_await verify_state(&dep.vm(1), 1001, &(*out)[1]);
@@ -124,7 +126,8 @@ TEST(QcowFullIntegrationTest, ResumeRollsDiskBackWithoutReboot) {
     dep.destroy_all();
 
     const sim::Time t0 = cl->simulation().now();
-    co_await dep.restart_from(ckpt, 2);
+    co_await dep.restart_from(
+        cr::build_restart_plan(ckpt.snapshots, ckpt.snapshots.size()), 2);
     *rt = cl->simulation().now() - t0;
 
     // qcow2-full resumes without reboot: no mounted fs on the new VM, but
@@ -194,7 +197,8 @@ TEST(FailureInjectionTest, ReplicatedRepositorySurvivesNodeLoss) {
     // Fail-stop the instance's node: VM dies AND the data provider on that
     // node loses all its chunks.
     dep.fail_instance(0);
-    co_await dep.restart_from(ckpt, 1);
+    co_await dep.restart_from(
+        cr::build_restart_plan(ckpt.snapshots, ckpt.snapshots.size()), 1);
     co_await verify_state(&dep.vm(0), 3000, out);
   }(&cloud, &result));
 
@@ -215,7 +219,8 @@ TEST(FailureInjectionTest, UnreplicatedRepositoryLosesData) {
     dep.fail_instance(0);
     bool threw = false;
     try {
-      co_await dep.restart_from(ckpt, 1);
+      co_await dep.restart_from(
+          cr::build_restart_plan(ckpt.snapshots, ckpt.snapshots.size()), 1);
       VerifyResult r;
       co_await verify_state(&dep.vm(0), 4000, &r);
       threw = !r.state_ok;

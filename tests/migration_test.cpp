@@ -97,7 +97,8 @@ TEST_P(MigrationTest, CheckpointChainContinuesAfterMigration) {
     // Restart from that snapshot elsewhere and verify both generations.
     GlobalCheckpoint ckpt = dep.collect_last_snapshots();
     dep.destroy_all();
-    co_await dep.restart_from(ckpt, 4);
+    co_await dep.restart_from(
+        cr::build_restart_plan(ckpt.snapshots, ckpt.snapshots.size()), 4);
     guestfs::SimpleFs* fs3 = dep.vm(0).fs();
     const Buffer a = co_await fs3->read_file("/data/a.bin");
     const Buffer b = co_await fs3->read_file("/data/b.bin");

@@ -378,7 +378,8 @@ TEST_P(KillPointTest, AbortedSnapshotNeverCorruptsPreviousCheckpoint) {
     snap->kill();  // fail-stop at an arbitrary protocol point
 
     dep.destroy_all();
-    co_await dep.restart_from(good, 1);
+    co_await dep.restart_from(
+        cr::build_restart_plan(good.snapshots, good.snapshots.size()), 1);
     guestfs::SimpleFs* fs2 = dep.vm(0).fs();
     const Buffer a = co_await fs2->read_file("/data/state.bin");
     out->state_a_intact = (a == Buffer::pattern(400'000, 1));
@@ -390,7 +391,8 @@ TEST_P(KillPointTest, AbortedSnapshotNeverCorruptsPreviousCheckpoint) {
     (void)co_await dep.snapshot_instance(0);
     const core::GlobalCheckpoint next = dep.collect_last_snapshots();
     dep.destroy_all();
-    co_await dep.restart_from(next, 2);
+    co_await dep.restart_from(
+        cr::build_restart_plan(next.snapshots, next.snapshots.size()), 2);
     const Buffer c = co_await dep.vm(0).fs()->read_file("/data/state.bin");
     out->next_checkpoint_works = (c == Buffer::pattern(400'000, 3));
   }(&cloud, kill_after, &out));

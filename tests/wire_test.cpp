@@ -177,7 +177,8 @@ TEST(RestProxyTest, ChecksAuthPathMethodAndServesCheckpoints) {
         std::stoull(out->ok.fields.at("version")));
     GlobalCheckpoint ckpt = dep.collect_last_snapshots();
     dep.destroy_all();
-    co_await dep.restart_from(ckpt, 2);
+    co_await dep.restart_from(
+        cr::build_restart_plan(ckpt.snapshots, ckpt.snapshots.size()), 2);
     const Buffer back = co_await dep.vm(0).fs()->read_file("/data/state.bin");
     out->restored = (back == Buffer::pattern(200'000, 4));
   }(&cloud, &out));

@@ -130,7 +130,8 @@ Task<> hep_driver(Cloud* cl, HepConfig cfg, HepOut* out) {
 
   const GlobalCheckpoint ckpt = dep.collect_last_snapshots();
   dep.destroy_all();
-  co_await dep.restart_from(ckpt, 2);
+  co_await dep.restart_from(
+      cr::build_restart_plan(ckpt.snapshots, ckpt.snapshots.size()), 2);
 
   sim::Event recovered(cl->simulation());
   dep.vm(0).start_guest("hep-recover",
@@ -203,7 +204,8 @@ TEST(HepCloudTest, HistogramSurvivesRoundTripByDigest) {
     co_await dep.vm(0).join_guests();
     const GlobalCheckpoint ckpt = dep.collect_last_snapshots();
     dep.destroy_all();
-    co_await dep.restart_from(ckpt, 1);
+    co_await dep.restart_from(
+        cr::build_restart_plan(ckpt.snapshots, ckpt.snapshots.size()), 1);
     sim::Event done2(cl->simulation());
     dep.vm(0).start_guest("hep2", [cfg, out,
                                    &done2](vm::GuestProcess& gp) -> Task<> {
@@ -349,7 +351,8 @@ TEST(KmerCloudTest, InterruptedScanResumesToSameResult) {
 
     const GlobalCheckpoint ckpt = dep.collect_last_snapshots();
     dep.destroy_all();
-    co_await dep.restart_from(ckpt, 2);
+    co_await dep.restart_from(
+        cr::build_restart_plan(ckpt.snapshots, ckpt.snapshots.size()), 2);
 
     sim::Event done2(cl->simulation());
     dep.vm(0).start_guest("kmer2", [kcfg, out,
