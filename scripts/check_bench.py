@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Compare fresh fast-mode bench JSON against the bench-results/ baselines.
 
-The CI release leg runs the restart-path AND commit-path benches under
+The CI bench job runs every bench that has a committed baseline under
 BLOBCR_BENCH_FAST=1 and calls this script; the build fails when restart
 makespan, repository-bytes-fetched, shipped snapshot bytes, commit
 blocked-time or the multi-tenant headline metrics regress beyond the
@@ -24,6 +24,9 @@ committed baseline deliberately when retiring a counter.
 When $GITHUB_STEP_SUMMARY is set (or --summary FILE is given) a per-counter
 markdown delta table — current vs baseline, allowed band, verdict — is
 appended there for the Actions run page.
+
+Without --file the gated set is every BENCH_*.json in the baseline
+directory, so a bench with a committed baseline but no fresh results fails.
 
 Usage:
   check_bench.py --fresh DIR [--baseline bench-results] [--tolerance 0.25]
@@ -86,20 +89,14 @@ HIGHER_IS_BETTER = {
     # floor-only replication at the same zone count.
     "zone_loss_speedup": ("zone-loss hot-replication speedup [x]", 0.05),
 }
-# Default file set: the restart- and commit-path benches the gate protects.
-DEFAULT_FILES = [
-    "BENCH_fig3_restart_scaling.json",
-    "BENCH_ablation_prefetch.json",
-    "BENCH_fig2_checkpoint_scaling.json",
-    "BENCH_fig5_successive_checkpoints.json",
-    "BENCH_ablation_async_flush.json",
-    "BENCH_ablation_multitenant.json",
-    "BENCH_ablation_redundancy.json",
-    "BENCH_ablation_elastic.json",
-    "BENCH_ablation_shard_sweep.json",
-    "BENCH_ablation_federation.json",
-    "BENCH_ablation_qos_e2e.json",
-]
+
+
+def baseline_files(baseline_dir):
+    """Every committed baseline: the default gated file set."""
+    if not os.path.isdir(baseline_dir):
+        return []
+    return sorted(f for f in os.listdir(baseline_dir)
+                  if f.startswith("BENCH_") and f.endswith(".json"))
 
 
 def load_benchmarks(path):
@@ -151,13 +148,13 @@ def main(argv=None):
                     help="relative regression band (0.25 = +25%%)")
     ap.add_argument("--file", action="append", default=None,
                     help="gate only these files (repeatable); default: "
-                         + ", ".join(DEFAULT_FILES))
+                         "every BENCH_*.json in --baseline")
     ap.add_argument("--summary", default=None,
                     help="append a markdown delta table to this file "
                          "(defaults to $GITHUB_STEP_SUMMARY when set)")
     args = ap.parse_args(argv)
 
-    files = args.file if args.file else DEFAULT_FILES
+    files = args.file if args.file else baseline_files(args.baseline)
     regressions = []
     notes = []
     rows = []  # (file, bench, counter label, base, fresh, band, ok)
@@ -242,7 +239,9 @@ def main(argv=None):
         print(f"note: {n}")
     print(f"check_bench: compared {compared} benchmark points "
           f"(tolerance +{args.tolerance * 100:.0f}%)")
-    if baseline_points > 0 and compared == 0:
+    if not files:
+        regressions.append(f"no BENCH_*.json baselines in {args.baseline}")
+    elif baseline_points > 0 and compared == 0:
         # Baselines exist but nothing matched by name (renamed sweep
         # points?): a vacuous pass would let any regression through.
         regressions.append(

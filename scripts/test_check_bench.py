@@ -4,8 +4,9 @@ Covers the gate's contract: the tolerance band (within / beyond), one-sided
 regressions (improvements never fail), higher-is-better counters (drops
 fail, gains never do), the `verified` never-flips-to-0 rule, gated counters
 vanishing from the fresh run (hard fail), missing fresh files (hard fail)
-vs missing baselines (note + pass), the vacuous-pass guard when nothing
-matches, and the markdown delta-table summary.
+vs missing baselines (note + pass), the default file set (every committed
+baseline), the vacuous-pass guard when nothing matches, and the markdown
+delta-table summary.
 
 Run:  python3 -m pytest scripts/test_check_bench.py -q
 """
@@ -127,6 +128,27 @@ def test_missing_baseline_is_note_not_failure(tmp_path):
     # New bench with no committed baseline yet: note + pass.
     fresh = {"Fig3/p": {"restart_s": 1.0}}
     assert run_gate(tmp_path, fresh, None) == 0
+
+
+def test_default_set_is_every_committed_baseline(tmp_path):
+    # Without --file every BENCH_*.json baseline is gated: a bench with a
+    # committed baseline but no fresh results fails the gate.
+    other = "BENCH_fig4_snapshot_size.json"
+    write(tmp_path / "base", FILE, {"Fig3/p": {"restart_s": 1.0}})
+    write(tmp_path / "base", other, {"Fig4/p": {"snap_MB_per_vm": 1.0}})
+    write(tmp_path / "fresh", FILE, {"Fig3/p": {"restart_s": 1.0}})
+    argv = ["--fresh", str(tmp_path / "fresh"),
+            "--baseline", str(tmp_path / "base")]
+    assert check_bench.main(argv) == 1
+    write(tmp_path / "fresh", other, {"Fig4/p": {"snap_MB_per_vm": 1.0}})
+    assert check_bench.main(argv) == 0
+
+
+def test_no_committed_baselines_fails(tmp_path):
+    (tmp_path / "base").mkdir(parents=True, exist_ok=True)
+    write(tmp_path / "fresh", FILE, {"Fig3/p": {"restart_s": 1.0}})
+    assert check_bench.main(["--fresh", str(tmp_path / "fresh"),
+                             "--baseline", str(tmp_path / "base")]) == 1
 
 
 def test_missing_counter_in_fresh_fails(tmp_path):

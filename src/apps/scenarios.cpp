@@ -20,37 +20,6 @@ using core::Cloud;
 using core::Deployment;
 using sim::Task;
 
-
-namespace {
-
-/// Usage baseline, captured after provisioning (the base-image upload runs
-/// as the default tenant and must not leak into a default-tenant job's
-/// numbers). Zero-valued on the PVFS baselines.
-blob::BlobStore::TenantUsage capture_usage(Cloud& cloud,
-                                           net::TenantId tenant) {
-  return cloud.blob_store() != nullptr
-             ? cloud.blob_store()->tenant_usage_snapshot(tenant)
-             : blob::BlobStore::TenantUsage{};
-}
-
-/// Copies the deployment tenant's repository usage since `base` into the
-/// result (BlobCR backend; the PVFS baselines have no shared repository
-/// accounting).
-void fill_tenant_counters(Cloud& cloud, Deployment& dep,
-                          const blob::BlobStore::TenantUsage& base,
-                          RunResult* result) {
-  if (cloud.blob_store() == nullptr) return;
-  const blob::BlobStore::TenantUsage u =
-      cloud.blob_store()->tenant_usage_snapshot(dep.tenant());
-  result->tenant_raw_bytes = u.raw_bytes - base.raw_bytes;
-  result->tenant_shipped_bytes = u.shipped_bytes - base.shipped_bytes;
-  result->tenant_commit_wait = u.commit_wait - base.commit_wait;
-  result->tenant_provider_wait = u.provider_wait - base.provider_wait;
-  result->tenant_prefetch_wait = u.prefetch_wait - base.prefetch_wait;
-}
-
-}  // namespace
-
 const char* mode_name(CkptMode mode) {
   switch (mode) {
     case CkptMode::AppLevel:
@@ -140,8 +109,6 @@ Task<> synthetic_driver(Cloud* cloud, SyntheticRun run, CkptMode mode,
   sim::Simulation& sim = cloud->simulation();
   co_await cloud->provision_base_image();
   Deployment dep(*cloud, run.instances);
-  const blob::BlobStore::TenantUsage usage_base =
-      capture_usage(*cloud, dep.tenant());
   cr::Session session(dep);  // checkpoint identity lives in the catalog
   sim::Time t0 = sim.now();
   co_await dep.deploy_and_boot();
@@ -215,14 +182,12 @@ Task<> synthetic_driver(Cloud* cloud, SyntheticRun run, CkptMode mode,
     // exactly the restart's lazy-fetch traffic.
     result->restart_repo_bytes = dep.boot_repo_bytes();
     result->restart_peer_bytes = dep.boot_peer_bytes();
-    result->restart_parity_bytes = dep.boot_parity_bytes();
     if (run.real_data) {
       for (const bool ok : shared->restore_ok) {
         result->verified = result->verified && ok;
       }
     }
   }
-  fill_tenant_counters(*cloud, dep, usage_base, result);
 }
 
 }  // namespace
@@ -327,7 +292,6 @@ Task<> elastic_driver(Cloud* cloud, ElasticRun run, ElasticResult* result) {
   }
   for (std::size_t i = 0; i < m; ++i) co_await dep.vm(i).join_guests();
   bool attached_ok = true;
-  std::size_t attached_checked = 0;
   for (std::size_t i = 0; i < m; ++i) {
     for (std::size_t k = 0; k < dep.attached_count(i); ++k) {
       core::Deployment::AttachedVolume& vol = dep.attached_volume(i, k);
@@ -338,19 +302,16 @@ Task<> elastic_driver(Cloud* cloud, ElasticRun run, ElasticResult* result) {
       bool ok = data.size() == run.buffer_bytes;
       if (run.real_data) ok = ok && data.digest() == shared->digests[source];
       attached_ok = attached_ok && ok;
-      ++attached_checked;
     }
   }
   result->restart_time = sim.now() - t0;
   result->restart_repo_bytes = dep.boot_repo_bytes();
   result->restart_peer_bytes = dep.boot_peer_bytes();
-  result->restart_parity_bytes = dep.boot_parity_bytes();
   for (const bool ok : shared->restore_ok) {
     result->verified = result->verified && ok;
   }
   result->verified = result->verified && attached_ok;
   for (const bool c : covered) result->verified = result->verified && c;
-  result->shards_verified = m + attached_checked;
 
   if (run.recheckpoint) {
     // Catalog invariant: the next checkpoint from the M-instance deployment
@@ -458,8 +419,6 @@ Task<> cm1_driver(Cloud* cloud, Cm1Run run, CkptMode mode,
   sim::Simulation& sim = cloud->simulation();
   co_await cloud->provision_base_image();
   Deployment dep(*cloud, run.vms);
-  const blob::BlobStore::TenantUsage usage_base =
-      capture_usage(*cloud, dep.tenant());
   cr::Session session(dep);
   sim::Time t0 = sim.now();
   co_await dep.deploy_and_boot();
@@ -533,14 +492,12 @@ Task<> cm1_driver(Cloud* cloud, Cm1Run run, CkptMode mode,
     result->restart_time = sim.now() - t0;
     result->restart_repo_bytes = dep.boot_repo_bytes();
     result->restart_peer_bytes = dep.boot_peer_bytes();
-    result->restart_parity_bytes = dep.boot_parity_bytes();
     if (run.app.real_data) {
       for (const bool ok : shared->restore_ok) {
         result->verified = result->verified && ok;
       }
     }
   }
-  fill_tenant_counters(*cloud, dep, usage_base, result);
 }
 
 }  // namespace

@@ -69,26 +69,12 @@ struct RunResult {
   /// Restart completion time: redeploy + reboot + state restore (Fig 3).
   sim::Duration restart_time = 0;
   /// Restart transfer split (BlobCR): wire bytes pulled from the
-  /// repository vs decoded bytes copied between deployment peers vs bytes
-  /// reconstructed from peer parity groups (the redundancy tier) — the
+  /// repository vs decoded bytes copied between deployment peers — the
   /// content-addressed data plane's transfer classes.
   std::uint64_t restart_repo_bytes = 0;
   std::uint64_t restart_peer_bytes = 0;
-  std::uint64_t restart_parity_bytes = 0;
   /// Digest verification outcome (real-data runs; true in phantom mode).
   bool verified = true;
-  /// Per-tenant repository accounting for this job (BlobCR backend),
-  /// measured from a post-provisioning baseline so it covers exactly this
-  /// job's commits: raw commit payload vs post-reduction bytes actually
-  /// shipped, and the time this tenant's requests spent queued at the
-  /// shared admission points (commit gate + fair manager queues).
-  std::uint64_t tenant_raw_bytes = 0;
-  std::uint64_t tenant_shipped_bytes = 0;
-  sim::Duration tenant_commit_wait = 0;
-  /// Queueing at the admission plane's data-path gates (provider-io and
-  /// restart-prefetch), same baseline-diff convention as above.
-  sim::Duration tenant_provider_wait = 0;
-  sim::Duration tenant_prefetch_wait = 0;
 };
 
 /// Elastic (N -> M) restart scenario: N workers each write a distinct data
@@ -123,12 +109,9 @@ struct ElasticResult {
   /// volumes; BlobCR backend).
   std::uint64_t restart_repo_bytes = 0;
   std::uint64_t restart_peer_bytes = 0;
-  std::uint64_t restart_parity_bytes = 0;
   /// Every shard digest-verified AND every source covered (real-data runs;
   /// size checks only in phantom mode).
   bool verified = true;
-  /// Boot devices + attached volumes checked (== N when coverage is full).
-  std::size_t shards_verified = 0;
   /// Tuple count of the post-rescale checkpoint (0 when recheckpoint off).
   std::size_t tuples_after = 0;
 };

@@ -303,8 +303,7 @@ sim::Task<VersionId> BlobClient::write_extents_via(
             }
           }(this, pieces[i], locs[i], reader));
     }
-    co_await sim::run_window(store_->simulation(),
-                             store_->config().write_window,
+    co_await sim::run_window(store_->simulation(), BlobStore::kWriteWindow,
                              std::move(stores));
   } else {
     // --- Reduced commit path ------------------------------------------
@@ -323,8 +322,7 @@ sim::Task<VersionId> BlobClient::write_extents_via(
                                          std::move(data));
           }(this, pieces[i], reader, reducer, &plans[i]));
     }
-    co_await sim::run_window(store_->simulation(),
-                             store_->config().write_window,
+    co_await sim::run_window(store_->simulation(), BlobStore::kWriteWindow,
                              std::move(reduces));
 
     // Phase 2: intra-commit dedup (identical chunks of one commit collapse
@@ -413,8 +411,7 @@ sim::Task<VersionId> BlobClient::write_extents_via(
             }
           }(this, &plans[i], locs[i], reducer, &guard.indexed));
     }
-    co_await sim::run_window(store_->simulation(),
-                             store_->config().write_window,
+    co_await sim::run_window(store_->simulation(), BlobStore::kWriteWindow,
                              std::move(stores));
   }
 
@@ -433,7 +430,7 @@ sim::Task<VersionId> BlobClient::write_extents_via(
   const NodeRef new_root = build(base.root, 0, capacity_chunks(), writes,
                                  new_nodes);
   const std::uint64_t meta_bytes =
-      new_nodes.size() * store_->metadata().record_bytes();
+      new_nodes.size() * MetadataCluster::kNodeRecordBytes;
   co_await store_->metadata().put_nodes(node_, std::move(new_nodes));
 
   const std::uint64_t chunk_bytes =
@@ -583,7 +580,7 @@ sim::Task<common::Buffer> BlobClient::read(BlobId blob, VersionId version,
           (*res)[l.id] = co_await self->fetch_chunk(l);
         }(this, loc, fetched));
   }
-  co_await sim::run_window(store_->simulation(), store_->config().read_window,
+  co_await sim::run_window(store_->simulation(), BlobStore::kReadWindow,
                            std::move(fetches));
 
   // Decode once per distinct chunk, in place (an RLE chunk aliased by many
@@ -633,7 +630,7 @@ sim::Task<VersionId> BlobClient::adopt_leaves(
   std::vector<std::pair<NodeRef, TreeNode>> new_nodes;
   const NodeRef new_root = build(0, 0, capacity_chunks(), writes, new_nodes);
   const std::uint64_t meta_bytes =
-      new_nodes.size() * store_->metadata().record_bytes();
+      new_nodes.size() * MetadataCluster::kNodeRecordBytes;
   co_await store_->metadata().put_nodes(node_, std::move(new_nodes));
   const VersionId v = co_await store_->version_manager().publish(
       node_, blob, new_root, logical_size, 0, meta_bytes, 0, tenant_);

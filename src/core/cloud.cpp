@@ -70,13 +70,13 @@ Cloud::Cloud(CloudConfig cfg) : cfg_(std::move(cfg)) {
 
   net::Fabric::Config fcfg;
   fcfg.node_count = total;
-  fcfg.nic_bandwidth_bps = cfg_.nic_bandwidth_bps;
-  fcfg.latency = cfg_.net_latency;
+  fcfg.nic_bandwidth_bps = kNicBandwidthBps;
+  fcfg.latency = kNetLatency;
   fabric_ = std::make_unique<net::Fabric>(sim_, fcfg);
 
   storage::Disk::Config dcfg;
-  dcfg.bandwidth_bps = cfg_.disk_bandwidth_bps;
-  dcfg.position_cost = cfg_.disk_position_cost;
+  dcfg.bandwidth_bps = kDiskBandwidthBps;
+  dcfg.position_cost = kDiskPositionCost;
   disks_.reserve(total);
   streams_.resize(total);
   for (std::size_t n = 0; n < total; ++n) {
@@ -141,7 +141,7 @@ Cloud::Cloud(CloudConfig cfg) : cfg_(std::move(cfg)) {
       pcfg.io_servers.push_back(
           {static_cast<net::NodeId>(n), disks_[n].get()});
     }
-    pcfg.stripe_size = cfg_.pvfs_stripe;
+    pcfg.stripe_size = kPvfsStripe;
     pvfs_ = std::make_unique<pfs::PvfsCluster>(sim_, *fabric_, pcfg);
   }
 }
@@ -261,9 +261,6 @@ reduce::ChunkDigestIndex* Cloud::shared_digest_index() {
   if (shared_index_ == nullptr) {
     shared_index_ = std::make_unique<reduce::ChunkDigestIndex>(
         cfg_.reduction.index_shards);
-    shared_index_->attach_service(
-        sim_, cfg_.reduction.index_lookup_cost,
-        blob_->admission().fair_registry());
     // Repository-lifetime hooks (one set, owned here): entries must drop
     // when the GC reclaims chunks, epoch logging must open/close with the
     // concurrent sweep, and logged hits must count as pinned — all even
@@ -302,8 +299,7 @@ redundancy::Manager* Cloud::redundancy() {
   if (blob_ == nullptr || !cfg_.redundancy.enabled) return nullptr;
   if (redundancy_ == nullptr) {
     redundancy_ = std::make_unique<redundancy::Manager>(
-        sim_, *fabric_, cfg_.redundancy,
-        net::Fabric::Shape{cfg_.peer_latency, cfg_.peer_bandwidth_bps});
+        sim_, *fabric_, cfg_.redundancy, kPeerShape);
     // One repository-lifetime reclaim hook: GC reclaim of a member chunk
     // invalidates its whole parity group (no orphaned parity blocks), even
     // while no deployment is alive — e.g. a retention sweep between jobs.
@@ -351,11 +347,8 @@ Deployment::Deployment(Cloud& cloud, std::size_t instances,
       tenant_(opts.tenant),
       flush_cfg_(opts.flush.has_value() ? *opts.flush : cloud.config().flush),
       seq_(cloud.next_deployment_seq()) {
-  PrefetchBus::Config bcfg;
-  bcfg.hint_latency = cloud.config().hint_latency;
-  bcfg.peer_shape = net::Fabric::Shape{cloud.config().peer_latency,
-                                       cloud.config().peer_bandwidth_bps};
-  bus_ = std::make_unique<PrefetchBus>(cloud.simulation(), bcfg);
+  bus_ = std::make_unique<PrefetchBus>(
+      cloud.simulation(), PrefetchBus::Config{kHintLatency, kPeerShape});
   if (cloud.config().backend == Backend::BlobCR &&
       cloud.config().reduction.enabled) {
     // The digest index is repository-scoped by default — concurrent jobs
@@ -411,13 +404,13 @@ void Deployment::build_instance_fresh(std::size_t i, net::NodeId node) {
     inst->mirror =
         make_mirror(*store, node, cloud.base_blob(zone), 1, flush_cfg_);
     inst->proxy = std::make_unique<CheckpointProxy>(
-        cloud.simulation(), cloud.fabric(), node, cfg.proxy_auth_cost);
+        cloud.simulation(), cloud.fabric(), node);
   } else {
     // The qcow chain is opened inside boot_instance (needs a coroutine).
     inst->qdisk_proxy = std::make_unique<QcowDiskProxy>(
-        cloud.simulation(), cloud.fabric(), node, cfg.proxy_auth_cost);
+        cloud.simulation(), cloud.fabric(), node);
     inst->qfull_proxy = std::make_unique<QcowFullProxy>(
-        cloud.simulation(), cloud.fabric(), node, cfg.proxy_auth_cost);
+        cloud.simulation(), cloud.fabric(), node);
   }
   instances_.push_back(std::move(inst));
 }
@@ -435,7 +428,7 @@ sim::Task<> Deployment::boot_instance(std::size_t i) {
     inst.qcow_container = std::make_unique<storage::LocalFile>(
         cloud.disk(inst.node), cloud.next_disk_stream(inst.node));
     img::QcowImage::Config qcfg;
-    qcfg.cluster_size = cfg.qcow_cluster_size;
+    qcfg.cluster_size = kQcowClusterSize;
     qcfg.virtual_size = cloud.image_size();
     inst.qcow = std::make_unique<img::QcowImage>(
         *inst.qcow_container, inst.qcow_backing.get(), qcfg);
@@ -644,7 +637,7 @@ sim::Task<> Deployment::open_volume(Volume& vol, InstanceSnapshot& snap,
       *cloud.pvfs(), node, snap.pvfs_path, false);
   vol.qcow_container = std::move(container);
   img::QcowImage::Config qcfg;
-  qcfg.cluster_size = cloud.config().qcow_cluster_size;
+  qcfg.cluster_size = kQcowClusterSize;
   qcfg.virtual_size = cloud.image_size();
   vol.qcow = std::make_unique<img::QcowImage>(*vol.qcow_container,
                                               vol.qcow_backing.get(), qcfg);
@@ -673,12 +666,12 @@ sim::Task<> Deployment::build_instance_from_snapshot(std::size_t i,
     // instance and must derive a fresh image on its first commit instead.
     if (adopt_image) inst->mirror->set_checkpoint_blob(snap.image, snap.version);
     inst->proxy = std::make_unique<CheckpointProxy>(
-        cloud.simulation(), cloud.fabric(), node, cfg.proxy_auth_cost);
+        cloud.simulation(), cloud.fabric(), node);
   } else {
     inst->qdisk_proxy = std::make_unique<QcowDiskProxy>(
-        cloud.simulation(), cloud.fabric(), node, cfg.proxy_auth_cost);
+        cloud.simulation(), cloud.fabric(), node);
     inst->qfull_proxy = std::make_unique<QcowFullProxy>(
-        cloud.simulation(), cloud.fabric(), node, cfg.proxy_auth_cost);
+        cloud.simulation(), cloud.fabric(), node);
   }
 
   vm::VmConfig vmc = cfg.vm;
@@ -736,11 +729,10 @@ sim::Task<> Deployment::restart_from(const RestartPlan& plan,
   // as a background process — control-plane resolution overlaps the
   // restore instead of serializing inside the restart window.
   const CloudConfig& cfg = cloud_->config();
-  if (cfg.backend == Backend::BlobCR && cfg.adaptive_prefetch &&
-      cfg.qos.restart_prefetch_budget > 0) {
+  if (cfg.backend == Backend::BlobCR && cfg.adaptive_prefetch) {
     restart_scheduler_ = cloud_->simulation().spawn(
         "restart-scheduler",
-        bus_->schedule_restart_prefetch(cfg.qos.restart_prefetch_budget));
+        bus_->schedule_restart_prefetch(kRestartPrefetchBudget));
   }
 }
 

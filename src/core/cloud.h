@@ -53,19 +53,33 @@ enum class Backend { BlobCR, Qcow2Disk, Qcow2Full };
 
 const char* backend_name(Backend b);
 
+// The paper's testbed (§4.1): fixed, since every figure is measured on it.
+inline constexpr double kNicBandwidthBps = 117.5e6;  // measured GbE
+inline constexpr sim::Duration kNetLatency = 100 * sim::kMicrosecond;
+inline constexpr double kDiskBandwidthBps = 55e6;  // SATA II
+inline constexpr sim::Duration kDiskPositionCost = 6 * sim::kMillisecond;
+inline constexpr std::uint64_t kPvfsStripe = 256 * 1024;
+inline constexpr std::uint64_t kQcowClusterSize = 64 * 1024;
+/// Latency of a prefetch hint between the mirroring modules of one
+/// deployment.
+inline constexpr sim::Duration kHintLatency = 300 * sim::kMicrosecond;
+/// Content-addressed restart data plane: intra-deployment peer copies of
+/// decoded chunks (and the parity tier's transfers) run as their own
+/// traffic class — typically same-rack, so lower latency than repository
+/// requests; no rate cap beyond the NIC fair share.
+inline constexpr net::Fabric::Shape kPeerShape{50 * sim::kMicrosecond, 0};
+/// Per-compute-node decoded-chunk cache (shared by all mirroring modules
+/// on the node; backs the peer exchange).
+inline constexpr std::uint64_t kChunkCacheBytes = 512 * common::kMB;
+/// Repository bytes the restart scheduler prefetches per instance.
+inline constexpr std::uint64_t kRestartPrefetchBudget = 64 * common::kMB;
+
 struct CloudConfig {
   std::size_t compute_nodes = 120;   // paper: 120 graphene nodes
   std::size_t metadata_nodes = 20;   // paper: 20 BlobSeer metadata providers
 
-  double nic_bandwidth_bps = 117.5e6;                 // measured GbE
-  sim::Duration net_latency = 100 * sim::kMicrosecond;
-  double disk_bandwidth_bps = 55e6;                   // SATA II
-  sim::Duration disk_position_cost = 6 * sim::kMillisecond;
-
   std::uint64_t chunk_size = 256 * 1024;  // BlobSeer stripe (paper-tuned)
   int replication = 1;
-  std::uint64_t pvfs_stripe = 256 * 1024;
-  std::uint64_t qcow_cluster_size = 64 * 1024;
 
   Backend backend = Backend::BlobCR;
   /// Snapshot data-reduction pipeline on the commit path (BlobCR backend
@@ -97,17 +111,6 @@ struct CloudConfig {
   /// src/federation/federation.h for the knobs.
   federation::FederationConfig federation;
   bool adaptive_prefetch = true;
-  sim::Duration hint_latency = 300 * sim::kMicrosecond;
-  /// Content-addressed restart data plane: intra-deployment peer copies of
-  /// decoded chunks run as their own traffic class — typically same-rack,
-  /// so lower latency than repository requests; bandwidth 0 = NIC-limited
-  /// (the fabric's fair share still applies either way).
-  sim::Duration peer_latency = 50 * sim::kMicrosecond;
-  double peer_bandwidth_bps = 0;
-  /// Per-compute-node decoded-chunk cache (shared by all mirroring modules
-  /// on the node; backs the peer exchange). 0 disables.
-  std::uint64_t chunk_cache_bytes = 512 * common::kMB;
-  sim::Duration proxy_auth_cost = 500 * sim::kMicrosecond;
 
   vm::GuestOsConfig os = vm::GuestOsConfig::debian_like();
   vm::VmConfig vm;
@@ -201,17 +204,10 @@ class Cloud {
   }
 
   /// The node's shared decoded-chunk cache (lazily created; one per compute
-  /// node, shared by every mirroring module that ever runs there). With
-  /// CloudConfig::chunk_cache_bytes == 0 this is a zero-capacity cache:
-  /// every insert is rejected, so nothing is cached and — since the peer
-  /// exchange serves out of these caches — no peer copies happen either.
-  /// (Returning nullptr instead would silently hand each device a private
-  /// fallback cache, un-disabling the ablation's "off" data point.)
+  /// node, shared by every mirroring module that ever runs there).
   DecodedChunkCache* chunk_cache(net::NodeId node) {
     auto& slot = chunk_caches_[node];
-    if (!slot) {
-      slot = std::make_unique<DecodedChunkCache>(cfg_.chunk_cache_bytes);
-    }
+    if (!slot) slot = std::make_unique<DecodedChunkCache>(kChunkCacheBytes);
     return slot.get();
   }
 

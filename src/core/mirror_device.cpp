@@ -39,7 +39,7 @@ MirrorDevice::MirrorDevice(blob::BlobStore& store, net::NodeId host,
   assert(cfg_.capacity > 0);
   client_.set_tenant(cfg_.tenant);
   prefetch_slots_ = std::make_unique<sim::Semaphore>(
-      store.simulation(), static_cast<std::int64_t>(cfg_.prefetch_streams));
+      store.simulation(), static_cast<std::int64_t>(kPrefetchStreams));
   if (bus_ != nullptr) bus_->attach(this);
   if (cfg_.redundancy != nullptr)
     cfg_.redundancy->attach(host_, &this->node_cache());
@@ -310,7 +310,7 @@ sim::Task<> MirrorDevice::ensure_available(std::uint64_t begin,
     }
     try {
       co_await sim::run_window(store_->simulation(),
-                               store_->config().read_window, std::move(jobs));
+                               blob::BlobStore::kReadWindow, std::move(jobs));
     } catch (...) {
       failed = true;
     }
@@ -478,7 +478,7 @@ void MirrorDevice::start_scheduled_prefetch(
 sim::Task<> MirrorDevice::scheduled_prefetch_body(
     std::vector<std::pair<std::uint64_t, std::uint64_t>> ranges) {
   // Each range worker gates on prefetch_slots_, so at most
-  // prefetch_streams chunks are in flight while the order is preserved.
+  // kPrefetchStreams chunks are in flight while the order is preserved.
   std::vector<sim::Task<>> jobs;
   jobs.reserve(ranges.size());
   for (const auto& [begin, end] : ranges) {

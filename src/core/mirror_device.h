@@ -53,7 +53,6 @@ class MirrorDevice : public img::BlockDevice {
  public:
   struct Config {
     std::uint64_t capacity = 0;
-    std::size_t prefetch_streams = 2;  // background fetches in flight
     /// Asynchronous commit pipeline (src/flush/): when enabled, COMMIT
     /// freezes the dirty set and returns a provisional version while a
     /// background agent drains it to the repository.
@@ -71,6 +70,9 @@ class MirrorDevice : public img::BlockDevice {
     /// single-zone fabric = plain in-zone fetches. nullptr = off.
     federation::Fabric* federation = nullptr;
   };
+
+  /// Background fetches in flight per device.
+  static constexpr std::size_t kPrefetchStreams = 2;
 
   MirrorDevice(blob::BlobStore& store, net::NodeId host,
                storage::Disk& local_disk, std::uint64_t disk_stream,
@@ -157,7 +159,7 @@ class MirrorDevice : public img::BlockDevice {
   sim::Task<std::vector<blob::BlobClient::ChunkRef>> resolve_backing_chunks();
 
   /// Kicks a background worker that materializes the given chunk-aligned
-  /// ranges in order, bounded by prefetch_streams (the restart scheduler
+  /// ranges in order, bounded by kPrefetchStreams (the restart scheduler
   /// hands popularity-ordered ranges here).
   void start_scheduled_prefetch(
       std::vector<std::pair<std::uint64_t, std::uint64_t>> ranges);

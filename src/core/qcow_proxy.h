@@ -63,16 +63,18 @@ inline sim::Task<std::uint64_t> copy_container_to_pvfs(
 
 class QcowDiskProxy {
  public:
-  QcowDiskProxy(sim::Simulation& sim, net::Fabric& fabric, net::NodeId node,
-                sim::Duration auth_cost = 500 * sim::kMicrosecond)
-      : sim_(&sim), fabric_(&fabric), node_(node), auth_cost_(auth_cost) {}
+  /// Caller authentication, charged per request.
+  static constexpr sim::Duration kAuthCost = 500 * sim::kMicrosecond;
+
+  QcowDiskProxy(sim::Simulation& sim, net::Fabric& fabric, net::NodeId node)
+      : sim_(&sim), fabric_(&fabric), node_(node) {}
 
   sim::Task<QcowSnapshotResult> request_checkpoint(
       vm::VmInstance& vm, img::QcowImage& image,
       storage::ByteStore& container, pfs::PvfsCluster& pvfs,
       std::string dest_path) {
     co_await fabric_->message(node_, node_);
-    co_await sim_->delay(auth_cost_);
+    co_await sim_->delay(kAuthCost);
     const sim::Time pause_start = sim_->now();
     vm.pause();
     QcowSnapshotResult result;
@@ -90,14 +92,15 @@ class QcowDiskProxy {
   sim::Simulation* sim_;
   net::Fabric* fabric_;
   net::NodeId node_;
-  sim::Duration auth_cost_;
 };
 
 class QcowFullProxy {
  public:
-  QcowFullProxy(sim::Simulation& sim, net::Fabric& fabric, net::NodeId node,
-                sim::Duration auth_cost = 500 * sim::kMicrosecond)
-      : sim_(&sim), fabric_(&fabric), node_(node), auth_cost_(auth_cost) {}
+  /// Caller authentication, charged per request.
+  static constexpr sim::Duration kAuthCost = 500 * sim::kMicrosecond;
+
+  QcowFullProxy(sim::Simulation& sim, net::Fabric& fabric, net::NodeId node)
+      : sim_(&sim), fabric_(&fabric), node_(node) {}
 
   /// savevm + copy. When `previous_path` is non-empty the earlier copy is
   /// removed: the latest container subsumes all internal snapshots.
@@ -105,7 +108,7 @@ class QcowFullProxy {
       vm::VmInstance& vm, img::QcowImage& image,
       storage::ByteStore& container, pfs::PvfsCluster& pvfs,
       std::string dest_path, std::string previous_path) {
-    co_await sim_->delay(auth_cost_);
+    co_await sim_->delay(kAuthCost);
     const sim::Time pause_start = sim_->now();
     vm.pause();
     // Full VM state into the image (RAM + devices).
@@ -129,7 +132,6 @@ class QcowFullProxy {
   sim::Simulation* sim_;
   net::Fabric* fabric_;
   net::NodeId node_;
-  sim::Duration auth_cost_;
 };
 
 }  // namespace blobcr::core

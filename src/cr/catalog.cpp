@@ -177,7 +177,7 @@ Buffer Catalog::encode_frame(const CheckpointRecord& rec,
 
   const std::uint64_t raw = 12 + body.size();  // magic + frame_len + payload_len
   std::uint64_t padded =
-      (raw + cfg_.record_align - 1) / cfg_.record_align * cfg_.record_align;
+      (raw + kRecordAlign - 1) / kRecordAlign * kRecordAlign;
   if (pad_to != 0) {
     if (raw > pad_to)
       throw CrError("checkpoint record " + std::to_string(rec.id) +
@@ -256,7 +256,7 @@ Task<> Catalog::open() {
       // First catalog on this repository: create the log blob (its own,
       // small chunk size — frames are chunk-aligned for in-place rewrites)
       // and publish its name so any later driver can discover it.
-      blob_id_ = co_await blob_client_->create(cfg_.record_align);
+      blob_id_ = co_await blob_client_->create(kRecordAlign);
       co_await blob_client_->bind_name(cfg_.name, blob_id_);
     }
   } else {
@@ -379,7 +379,7 @@ Task<> Catalog::rebuild() {
   // tuples reference reclaimed chunks, and a partial in-place rewrite would
   // leave a log that half-reads. Rebinding the name makes the swap atomic
   // from a discovering driver's point of view.
-  blob_id_ = co_await blob_client_->create(cfg_.record_align);
+  blob_id_ = co_await blob_client_->create(kRecordAlign);
   blob_version_ = 0;
   Buffer log;
   frames_.clear();

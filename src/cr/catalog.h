@@ -40,14 +40,14 @@ class Catalog {
     /// drivers namespace this per job (cr::Session::Config::job), so each
     /// tenant lists and restarts only its own lineage.
     std::string name = "/blobcr/checkpoint-catalog";
-    /// Frame padding; doubles as the catalog blob's chunk size, so every
-    /// in-place frame rewrite is chunk-aligned.
-    std::uint64_t record_align = 4096;
     /// Node the catalog client issues its repository requests from.
     net::NodeId client_node = 0;
     /// Tenant the catalog's repository requests run as.
     net::TenantId tenant = net::kDefaultTenant;
   };
+  /// Frame padding; doubles as the catalog blob's chunk size, so every
+  /// in-place frame rewrite is chunk-aligned.
+  static constexpr std::uint64_t kRecordAlign = 4096;
 
   explicit Catalog(core::Cloud& cloud) : Catalog(cloud, Config()) {}
   Catalog(core::Cloud& cloud, Config cfg);

@@ -72,9 +72,6 @@ struct FederationConfig {
   /// (pushed popularity-first to every remaining sibling zone). 0 = floor
   /// only. Only meaningful with 3+ zones.
   std::uint64_t hot_budget_bytes = 0;
-  /// Wire size of one replicated manifest leaf tuple (control-plane cost of
-  /// shipping the per-commit manifest delta to sibling zones).
-  std::uint64_t manifest_record_bytes = 48;
 };
 
 class Fabric {
@@ -83,6 +80,9 @@ class Fabric {
   /// Zone 0 keeps the unseeded counters, so single-zone ids decode to 0.
   static constexpr unsigned kBlobZoneShift = 40;
   static constexpr unsigned kChunkZoneShift = 48;
+  /// Wire size of one replicated manifest leaf tuple (control-plane cost of
+  /// shipping the per-commit manifest delta to sibling zones).
+  static constexpr std::uint64_t kManifestRecordBytes = 48;
 
   Fabric(sim::Simulation& sim, net::Fabric& net, FederationConfig cfg)
       : sim_(&sim), net_(&net), cfg_(cfg) {}

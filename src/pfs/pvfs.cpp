@@ -137,7 +137,7 @@ sim::Task<> PvfsClient::write(FileId file, std::uint64_t offset,
           }
         }(this, io, file, server, op, cluster_->cfg_.stripe_size));
   }
-  co_await sim::run_window(*cluster_->sim_, cluster_->cfg_.client_window,
+  co_await sim::run_window(*cluster_->sim_, PvfsCluster::kClientWindow,
                            std::move(tasks));
 
   cluster_->stored_bytes_ -= rec.content.allocated_bytes();
@@ -182,7 +182,7 @@ sim::Task<common::Buffer> PvfsClient::read(FileId file, std::uint64_t offset,
                                                      server_op.bytes);
         }(this, io, file, server, op, cluster_->cfg_.stripe_size));
   }
-  co_await sim::run_window(*cluster_->sim_, cluster_->cfg_.client_window,
+  co_await sim::run_window(*cluster_->sim_, PvfsCluster::kClientWindow,
                            std::move(tasks));
   co_return rec.content.read(offset, len);
 }

@@ -45,8 +45,9 @@ class PvfsCluster {
     std::vector<IoServer> io_servers;
     std::uint64_t stripe_size = 256 * 1024;  // paper: 256 KB
     sim::Duration meta_request_cost = 300 * sim::kMicrosecond;
-    std::size_t client_window = 8;  // outstanding stripe requests per op
   };
+  /// Outstanding stripe requests per client operation.
+  static constexpr std::size_t kClientWindow = 8;
 
   PvfsCluster(sim::Simulation& sim, net::Fabric& fabric, const Config& cfg)
       : sim_(&sim),

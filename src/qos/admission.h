@@ -23,8 +23,8 @@
 // RAII (net::FairGate::Permit) and kill-safe: a coroutine killed while
 // queued unlinks, one killed while holding releases as its frame unwinds.
 //
-// All knobs live in one validated qos::Config (per-gate slot counts plus
-// the restart-prefetch byte budget). The fair/FIFO decision is made here
+// All knobs live in one validated qos::Config (the per-gate slot counts).
+// The fair/FIFO decision is made here
 // once (fair_registry) and handed to every per-server request queue the
 // repository builds.
 #pragma once
@@ -32,7 +32,6 @@
 #include <cstdint>
 #include <stdexcept>
 
-#include "common/units.h"
 #include "net/qos.h"
 #include "sim/sim.h"
 
@@ -77,8 +76,6 @@ struct Config {
   /// Concurrent restart-prefetch workers admitted repository-wide.
   /// 0 = gate disabled (each device still bounds its own local streams).
   std::size_t prefetch_slots = 0;
-  /// Repository bytes the restart scheduler may prefetch per instance.
-  std::uint64_t restart_prefetch_budget = 64 * common::kMB;
 
   std::size_t slots(GateClass g) const {
     switch (g) {

@@ -12,8 +12,8 @@
 // compute nodes — a single node failure therefore costs at most one member
 // per group, the single-erasure case XOR reconstructs exactly. The payload
 // ships over the fabric's peer traffic class to the group's parity holder
-// node(s); when a group reaches its width the parity block(s) seal into the
-// holder nodes' decoded-chunk caches under reserved content keys (the b
+// node; when a group reaches its width the parity block seals into the
+// holder node's decoded-chunk cache under a reserved content key (the b
 // field tagged 2 — disjoint from both digest keys (odd b) and ChunkId keys
 // (b == 0)).
 //
@@ -21,19 +21,19 @@
 // the peer-copy and repository-fetch levels. A lost member is recomputed as
 // the XOR of the surviving members' cached payloads and the parity block,
 // everything moving node->node over the peer class — the repository is not
-// touched. With parity_blocks > 1, up to m lost size-only (phantom) members
-// per group are still recoverable (modeled Reed-Solomon).
+// touched. One parity block per group tolerates exactly one lost member: a
+// second loss (or a lost parity block) falls through to the repository.
 //
 // Scavenge: cr::Session::scavenge() re-seeds a lost repository from this
 // tier — survivors' cached copies first, parity rebuild second.
 //
 // Kill-safety contract (the flush crash harness kills drains at stage
 // boundaries, unwinding coroutine frames mid-encode): group state mutates
-// only *after* the holder transfers complete, so a fail-stop mid-transfer
+// only *after* the holder transfer completes, so a fail-stop mid-transfer
 // leaves no half-registered member; a registered member whose group never
 // filled is closed by seal_open_groups() at the next checkpoint boundary.
 // GC reclaim of any member chunk invalidates the whole group and erases its
-// parity blocks from the holder caches (no orphaned parity).
+// parity block from the holder cache (no orphaned parity).
 #pragma once
 
 #include <cstdint>
@@ -83,9 +83,9 @@ class Manager {
   const RedundancyConfig& config() const { return cfg_; }
   const Stats& stats() const { return stats_; }
 
-  /// The reserved content key of group `gid`'s parity block `pi`.
-  static core::ChunkKey parity_key(std::uint64_t gid, std::size_t pi) {
-    return core::ChunkKey{gid, (static_cast<std::uint64_t>(pi) << 2) | 2};
+  /// The reserved content key of group `gid`'s parity block.
+  static core::ChunkKey parity_key(std::uint64_t gid) {
+    return core::ChunkKey{gid, 2};
   }
 
   // --- membership -----------------------------------------------------------
@@ -102,7 +102,7 @@ class Manager {
   /// Open groups touching the node are dropped. Sealed groups where the
   /// node is a *member* are kept — rebuilding the dead node's members is
   /// exactly what the tier is for. Sealed groups where the node is a parity
-  /// *holder* lost their parity blocks with the cache and are invalidated
+  /// *holder* lost their parity block with the cache and are invalidated
   /// (they can no longer rebuild anything; counting their parity bytes as
   /// durable would be a lie). The node itself leaves the tier until a
   /// replacement instance re-attaches.
@@ -131,8 +131,9 @@ class Manager {
   bool protects(const core::ChunkKey& key) const;
 
   /// Reconstructs the payload of member `key`, delivering to `dst` over the
-  /// peer traffic class. nullopt when the key is unprotected or too much of
-  /// the group is gone — the caller falls through to the repository.
+  /// peer traffic class. nullopt when the key is unprotected, another
+  /// member's payload or the parity block is gone — the caller falls
+  /// through to the repository.
   sim::Task<std::optional<common::Buffer>> rebuild(core::ChunkKey key,
                                                    net::NodeId dst);
 
@@ -148,7 +149,7 @@ class Manager {
   // --- GC -------------------------------------------------------------------
 
   /// Chunk-reclaim hook body: any group holding a reclaimed member is
-  /// invalidated and its parity blocks are erased from the holder caches.
+  /// invalidated and its parity block is erased from the holder cache.
   void forget_chunks(const std::vector<blob::ChunkId>& ids);
 
   std::size_t open_groups() const { return open_.size(); }
@@ -163,11 +164,11 @@ class Manager {
     if (it == member_gid_.end()) return std::nullopt;
     return it->second;
   }
-  /// Parity holder nodes of group `gid` (empty when unknown).
-  std::vector<net::NodeId> holders_of(std::uint64_t gid) const {
+  /// Parity holder node of group `gid` (nullopt when unknown).
+  std::optional<net::NodeId> holder_of(std::uint64_t gid) const {
     const auto it = groups_.find(gid);
-    return it == groups_.end() ? std::vector<net::NodeId>{}
-                               : it->second.holders;
+    if (it == groups_.end()) return std::nullopt;
+    return it->second.holder;
   }
 
  private:
@@ -176,7 +177,6 @@ class Manager {
     blob::ChunkId id = 0;
     net::NodeId node = 0;
     std::uint32_t size = 0;  // logical payload length
-    bool phantom = false;
     /// Simulation ground truth for payloads with real content. The real
     /// parity block's bits reconstruct a lost member exactly, but the
     /// simulator cannot XOR phantom bytes — a co-member's phantom segment
@@ -190,9 +190,9 @@ class Manager {
     bool sealed = false;
     std::size_t target = 0;  // member count that seals the group
     std::vector<Member> members;
-    std::vector<net::NodeId> holders;  // parity holder nodes (size m)
-    common::Buffer accum;              // running XOR (block 0)
-    /// Sealed-block size (stats_ accounting stays honest when a block is
+    net::NodeId holder = 0;  // parity holder node
+    common::Buffer accum;    // running XOR: the parity block once sealed
+    /// Sealed-block size (stats_ accounting stays honest when the block is
     /// evicted or dies with its holder before the group is dropped).
     std::uint64_t parity_block_size = 0;
   };

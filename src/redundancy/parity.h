@@ -17,13 +17,8 @@ struct RedundancyConfig {
   /// Data members per parity group (the XOR width). Members of one group
   /// always come from DISTINCT compute nodes, so a single node failure
   /// costs at most one member per group — the single-erasure case XOR
-  /// reconstructs exactly.
+  /// reconstructs exactly. Each group has one parity block (SCR's m = 1).
   std::size_t group_size = 4;
-  /// Parity blocks per group (SCR's m). 1 = plain XOR. m > 1 models
-  /// Reed-Solomon style extra blocks: they add encode traffic and let
-  /// size-only (phantom) payloads survive up to m lost members; bitwise
-  /// reconstruction of real payloads remains the XOR single-erasure case.
-  std::size_t parity_blocks = 1;
 };
 
 /// Bytewise XOR of two payloads, zero-padded to the longer one. Honesty

@@ -88,7 +88,7 @@ sim::Task<> GuestOs::boot(VmInstance& vm, const GuestOsConfig& cfg) {
   for (const auto& spec : cfg.files) {
     if (!spec.hot) continue;
     co_await vm.gate();
-    co_await vm.simulation().delay(cfg.per_file_open_cost);
+    co_await vm.simulation().delay(kPerFileOpenCost);
     (void)co_await ref.read_file(spec.path);
   }
 

@@ -517,70 +517,92 @@ TEST(FlushFtIntegrationTest, SyntheticScenarioReportsBlockedTimeAndSizes) {
 // ---------------------------------------------------------------------------
 
 TEST(RedundancyManagerTest, XorRebuildReconstructsLostMemberBitExact) {
-  Simulation s;
-  net::Fabric::Config fcfg;
-  fcfg.node_count = 4;
-  fcfg.nic_bandwidth_bps = 1e9;
-  fcfg.latency = 50 * sim::kMicrosecond;
-  net::Fabric fabric(s, fcfg);
-  redundancy::RedundancyConfig rcfg;
-  rcfg.enabled = true;
-  rcfg.group_size = 3;
-  rcfg.parity_blocks = 1;
-  redundancy::Manager mgr(s, fabric, rcfg, {});
-  core::DecodedChunkCache c0(1 << 22), c1(1 << 22), c2(1 << 22), c3(1 << 22);
-  mgr.attach(0, &c0);
-  mgr.attach(1, &c1);
-  mgr.attach(2, &c2);
-  mgr.attach(3, &c3);
+  // One parity block per group tolerates exactly one lost member. Real
+  // payloads rebuild bit-exactly; an all-phantom group rebuilds to the lost
+  // member's size. A second loss in the same group falls through to the
+  // repository for both.
+  for (const bool phantom : {false, true}) {
+    SCOPED_TRACE(phantom ? "all-phantom group" : "real group");
+    Simulation s;
+    net::Fabric::Config fcfg;
+    fcfg.node_count = 4;
+    fcfg.nic_bandwidth_bps = 1e9;
+    fcfg.latency = 50 * sim::kMicrosecond;
+    net::Fabric fabric(s, fcfg);
+    redundancy::RedundancyConfig rcfg;
+    rcfg.enabled = true;
+    rcfg.group_size = 3;
+    redundancy::Manager mgr(s, fabric, rcfg, {});
+    core::DecodedChunkCache c0(1 << 22), c1(1 << 22), c2(1 << 22),
+        c3(1 << 22);
+    mgr.attach(0, &c0);
+    mgr.attach(1, &c1);
+    mgr.attach(2, &c2);
+    mgr.attach(3, &c3);
 
-  // Distinct payloads (one deliberately shorter: the XOR zero-pads).
-  const Buffer a = Buffer::pattern(kChunk, 11);
-  const Buffer b = Buffer::pattern(kChunk, 22);
-  const Buffer c = Buffer::pattern(kChunk / 2, 33);
-  const auto key = [](blob::ChunkId id) { return core::ChunkKey{id, 0}; };
+    // Distinct payloads (one deliberately shorter: the XOR zero-pads).
+    const auto payload = [phantom](std::uint64_t n, std::uint64_t seed) {
+      return phantom ? Buffer::phantom(n) : Buffer::pattern(n, seed);
+    };
+    const Buffer a = payload(kChunk, 11);
+    const Buffer b = payload(kChunk, 22);
+    const Buffer c = payload(kChunk / 2, 33);
+    const auto key = [](blob::ChunkId id) { return core::ChunkKey{id, 0}; };
 
-  const auto run = [&s](Task<> t) {
-    auto p = s.spawn("t", std::move(t));
-    s.run();
-    if (p->error()) std::rethrow_exception(p->error());
-  };
-  const auto one = [&key](blob::ChunkId id, const Buffer& data) {
-    std::vector<redundancy::Manager::ChunkPayload> v;
-    v.push_back(redundancy::Manager::ChunkPayload{key(id), id, data});
-    return v;
-  };
-  run([&]() -> Task<> {
-    co_await mgr.encode_commit(0, one(101, a));
-    co_await mgr.encode_commit(2, one(102, b));
-    co_await mgr.encode_commit(3, one(103, c));
-  }());
-  ASSERT_EQ(mgr.stats().groups_sealed, 1u);
-  ASSERT_TRUE(mgr.protects(key(102)));
-  EXPECT_EQ(mgr.resident_parity_blocks(), 1u);
+    const auto run = [&s](Task<> t) {
+      auto p = s.spawn("t", std::move(t));
+      s.run();
+      if (p->error()) std::rethrow_exception(p->error());
+    };
+    const auto one = [&key](blob::ChunkId id, const Buffer& data) {
+      std::vector<redundancy::Manager::ChunkPayload> v;
+      v.push_back(redundancy::Manager::ChunkPayload{key(id), id, data});
+      return v;
+    };
+    run([&]() -> Task<> {
+      co_await mgr.encode_commit(0, one(101, a));
+      co_await mgr.encode_commit(2, one(102, b));
+      co_await mgr.encode_commit(3, one(103, c));
+    }());
+    ASSERT_EQ(mgr.stats().groups_sealed, 1u);
+    ASSERT_TRUE(mgr.protects(key(102)));
+    EXPECT_EQ(mgr.resident_parity_blocks(), 1u);
 
-  // Node 2 dies: its cached payload is gone, the sealed group survives.
-  c2.clear();
-  mgr.drop_node(2);
-  ASSERT_TRUE(mgr.protects(key(102)));
+    // Node 2 dies: its cached payload is gone, the sealed group survives.
+    c2.clear();
+    mgr.drop_node(2);
+    ASSERT_TRUE(mgr.protects(key(102)));
 
-  // The lost member reconstructs bit-exactly from the survivors + parity.
-  std::optional<Buffer> rebuilt;
-  run([&]() -> Task<> {
-    rebuilt = co_await mgr.rebuild(key(102), 3);
-  }());
-  ASSERT_TRUE(rebuilt.has_value());
-  EXPECT_TRUE(*rebuilt == b) << "XOR rebuild diverged from the lost payload";
-  EXPECT_EQ(mgr.stats().rebuilds, 1u);
-  EXPECT_EQ(mgr.stats().rebuild_bytes, b.size());
+    // The lost member reconstructs exactly from the survivors + parity.
+    std::optional<Buffer> rebuilt;
+    run([&]() -> Task<> {
+      rebuilt = co_await mgr.rebuild(key(102), 3);
+    }());
+    ASSERT_TRUE(rebuilt.has_value());
+    EXPECT_TRUE(*rebuilt == b) << "XOR rebuild diverged from the lost payload";
+    EXPECT_EQ(mgr.stats().rebuilds, 1u);
+    EXPECT_EQ(mgr.stats().rebuild_bytes, b.size());
+    EXPECT_EQ(mgr.stats().rebuild_failures, 0u);
 
-  // GC reclaim of any member invalidates the group and erases its parity
-  // from the holder cache — no orphaned parity blocks.
-  mgr.forget_chunks({101});
-  EXPECT_FALSE(mgr.protects(key(102)));
-  EXPECT_EQ(mgr.resident_parity_blocks(), 0u);
-  EXPECT_EQ(mgr.stats().parity_blocks, 0u);
-  EXPECT_GE(mgr.stats().groups_dropped, 1u);
+    // A second member's copy goes too: two erasures exceed what one parity
+    // block can rebuild, so the caller must fall through to the repository.
+    c0.clear();
+    std::optional<Buffer> second;
+    run([&]() -> Task<> {
+      second = co_await mgr.rebuild(key(102), 3);
+    }());
+    EXPECT_FALSE(second.has_value());
+    EXPECT_EQ(mgr.stats().rebuild_failures, 1u);
+    EXPECT_EQ(mgr.stats().rebuilds, 1u);
+
+    // GC reclaim of any member invalidates the group and erases its parity
+    // from the holder cache — no orphaned parity blocks.
+    mgr.forget_chunks({101});
+    EXPECT_FALSE(mgr.protects(key(102)));
+    EXPECT_EQ(mgr.resident_parity_blocks(), 0u);
+    EXPECT_EQ(mgr.stats().parity_blocks, 0u);
+    EXPECT_GE(mgr.stats().groups_dropped, 1u);
+  }
 }
 
 // Regression: a sealed group whose parity *holder* fail-stops used to keep
@@ -598,7 +620,6 @@ TEST(RedundancyManagerTest, DeadParityHolderInvalidatesSealedGroup) {
   redundancy::RedundancyConfig rcfg;
   rcfg.enabled = true;
   rcfg.group_size = 3;
-  rcfg.parity_blocks = 1;
   redundancy::Manager mgr(s, fabric, rcfg, {});
   core::DecodedChunkCache c0(1 << 22), c1(1 << 22), c2(1 << 22), c3(1 << 22);
   mgr.attach(0, &c0);
@@ -628,9 +649,9 @@ TEST(RedundancyManagerTest, DeadParityHolderInvalidatesSealedGroup) {
   ASSERT_EQ(mgr.stats().groups_sealed, 1u);
   const auto gid = mgr.group_of(key(202));
   ASSERT_TRUE(gid.has_value());
-  const std::vector<net::NodeId> holders = mgr.holders_of(*gid);
-  ASSERT_EQ(holders.size(), 1u);
-  const net::NodeId holder = holders[0];
+  const std::optional<net::NodeId> held_by = mgr.holder_of(*gid);
+  ASSERT_TRUE(held_by.has_value());
+  const net::NodeId holder = *held_by;
   ASSERT_GT(mgr.stats().parity_bytes, 0u);
 
   // The holder fail-stops: cache contents gone, node leaves the tier.
@@ -673,7 +694,6 @@ TEST(FlushParityTest, KillAtParityEncodeRestoresBitExactWithNoOrphanedParity) {
   redundancy::RedundancyConfig rcfg;
   rcfg.enabled = true;
   rcfg.group_size = 4;
-  rcfg.parity_blocks = 1;
   redundancy::Manager mgr(rig.sim, *rig.fabric, rcfg, {});
   const std::uint64_t hook = rig.store->add_chunk_reclaim_hook(
       [&mgr](const std::vector<blob::ChunkId>& ids) {
