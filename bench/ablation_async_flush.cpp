@@ -45,6 +45,7 @@ SeriesResult run_series(bool async) {
     co_await dep.deploy_and_boot();
 
     std::uint64_t written_digest = 0;
+    core::InstanceSnapshot last;
     for (int round = 0; round < kRounds; ++round) {
       // Refill the buffer with fresh (real) data, dump, sync.
       common::Buffer data =
@@ -55,18 +56,17 @@ SeriesResult run_series(bool async) {
       co_await fs->sync();
 
       const sim::Time t0 = cl->simulation().now();
-      const core::InstanceSnapshot snap = co_await dep.snapshot_instance(0);
-      out->blocked.push_back(snap.vm_downtime);
+      last = co_await dep.snapshot_instance(0);
+      out->blocked.push_back(last.vm_downtime);
       co_await dep.wait_drained(0);
       out->publish.push_back(cl->simulation().now() - t0);
     }
 
     // Restart from the last checkpoint on fresh nodes; the restored buffer
     // must be the bit-exact final round.
-    const core::GlobalCheckpoint ckpt = dep.collect_last_snapshots();
     dep.destroy_all();
-    co_await dep.restart_from(
-        cr::build_restart_plan(ckpt.snapshots, ckpt.snapshots.size()), 7);
+    const std::vector<core::InstanceSnapshot> line{last};
+    co_await dep.restart_from(cr::build_restart_plan(line, 1), 7);
     const common::Buffer back =
         co_await dep.vm(0).fs()->read_file("/data/buffer.bin");
     out->restored_digest = back.digest();

@@ -14,6 +14,8 @@
 // Expectation: with reduction ON, shipped + stored bytes per round collapse
 // to roughly the unique region (plus one copy of anything shared); OFF
 // ships all four regions from every rank, every round.
+#include <numeric>
+
 #include "bench_common.h"
 #include "reduce/reducer.h"
 #include "sim/when_all.h"
@@ -47,11 +49,13 @@ sim::Task<> driver(core::Cloud* cloud, SeriesResult* out) {
   for (int round = 0; round < kRounds; ++round) {
     if (dep.reducer() != nullptr) dep.reducer()->begin_epoch();
     const sim::Time t0 = cloud->simulation().now();
+    std::vector<std::uint64_t> bytes(dep.size());
     std::vector<sim::Task<>> snaps;
     for (std::size_t i = 0; i < dep.size(); ++i) {
       snaps.push_back(
           [](core::Cloud* cloud, core::Deployment* dp, std::size_t idx,
-             int r, std::uint64_t off, std::uint64_t reg) -> sim::Task<> {
+             int r, std::uint64_t off, std::uint64_t reg,
+             std::uint64_t* shipped) -> sim::Task<> {
             co_await cloud->simulation().delay(
                 static_cast<sim::Duration>(idx) * 250 * sim::kMillisecond);
             core::MirrorDevice& m = *dp->instance(idx).mirror;
@@ -66,12 +70,13 @@ sim::Task<> driver(core::Cloud* cloud, SeriesResult* out) {
             co_await m.write(
                 off + 3 * reg,
                 common::Buffer::pattern(reg, 7000 + idx * 131 + r));
-            (void)co_await dp->snapshot_instance(idx);
-          }(cloud, &dep, i, round, base_off, region));
+            *shipped = (co_await dp->snapshot_instance(idx)).bytes;
+          }(cloud, &dep, i, round, base_off, region, &bytes[i]));
     }
     co_await sim::when_all(cloud->simulation(), std::move(snaps));
     out->times.push_back(cloud->simulation().now() - t0);
-    out->shipped.push_back(dep.collect_last_snapshots().total_bytes());
+    out->shipped.push_back(
+        std::accumulate(bytes.begin(), bytes.end(), std::uint64_t{0}));
     out->repo.push_back(cloud->repository_bytes() - baseline);
   }
   if (dep.reducer() != nullptr) out->stats = dep.reducer()->stats();

@@ -156,17 +156,23 @@ void Cloud::run(sim::Task<> body) {
   sim_.run();
   if (p->error()) std::rethrow_exception(p->error());
   if (!p->finished()) {
-#ifdef BLOBCR_DEBUG_STALL
-    for (const auto& pr : sim_.debug_processes()) {
-      if (pr && !pr->finished()) fprintf(stderr, "STALLED: %s\n", pr->name().c_str());
-    }
-#endif
     // The queue drained with the driver still blocked: some process it was
-    // waiting on died or deadlocked. Surface any failed process's error.
+    // waiting on died or deadlocked. Name who is still blocked.
+    constexpr std::size_t kNamed = 8;
+    std::string stalled;
+    std::size_t count = 0;
+    for (const auto& pr : sim_.debug_processes()) {
+      if (!pr || pr->finished()) continue;
+      if (count++ < kNamed) stalled += (count > 1 ? ", " : "") + pr->name();
+    }
+    if (count > kNamed) {
+      stalled += common::strf(" and %zu more", count - kNamed);
+    }
     sim_.shutdown();
     throw std::runtime_error(
         "simulation stalled: driver blocked when the event queue drained "
-        "(a guest process likely failed before reaching a barrier)");
+        "(a guest process likely failed before reaching a barrier); "
+        "unfinished: " + stalled);
   }
 }
 
@@ -403,15 +409,9 @@ void Deployment::build_instance_fresh(std::size_t i, net::NodeId node) {
     if (store == nullptr) store = cloud.blob_store();
     inst->mirror =
         make_mirror(*store, node, cloud.base_blob(zone), 1, flush_cfg_);
-    inst->proxy = std::make_unique<CheckpointProxy>(
-        cloud.simulation(), cloud.fabric(), node);
-  } else {
-    // The qcow chain is opened inside boot_instance (needs a coroutine).
-    inst->qdisk_proxy = std::make_unique<QcowDiskProxy>(
-        cloud.simulation(), cloud.fabric(), node);
-    inst->qfull_proxy = std::make_unique<QcowFullProxy>(
-        cloud.simulation(), cloud.fabric(), node);
-  }
+  }  // else the qcow chain is opened inside boot_instance (needs a coroutine)
+  inst->proxy = std::make_unique<CheckpointProxy>(cloud.simulation(),
+                                                  cloud.fabric(), node);
   instances_.push_back(std::move(inst));
 }
 
@@ -456,93 +456,74 @@ sim::Task<> Deployment::deploy_and_boot() {
 
 sim::Task<InstanceSnapshot> Deployment::snapshot_instance(std::size_t i) {
   Instance& inst = *instances_.at(i);
-  const CloudConfig& cfg = cloud_->config();
-  InstanceSnapshot snap;
-  snap.instance = i;
-  snap.backend = cfg.backend;
+  const Backend backend = cloud_->config().backend;
   ++inst.snapshot_counter;
 
-  if (cfg.backend == Backend::BlobCR) {
-    const CheckpointProxy::Result r =
-        co_await inst.proxy->request_checkpoint(*inst.vm, *inst.mirror);
-    snap.image = r.image;
-    snap.version = r.version;
-    snap.vm_downtime = r.vm_downtime;
-    // Snapshot size: incremental chunk payload + new metadata. A
-    // provisional (async) version doesn't know its size yet — the record
-    // fills in when the drain publishes.
-    const blob::BlobMeta& meta =
-        cloud_->store_of_blob(r.image)->version_manager().peek(r.image);
-    if (r.version != 0) {
-      const blob::VersionInfo& v = meta.version(r.version);
-      if (!v.pending) snap.bytes = v.new_chunk_bytes + v.new_meta_bytes;
-    }
-  } else if (cfg.backend == Backend::Qcow2Disk) {
-    const std::string path = common::strf(
-        "/ckpt/d%llu_inst%zu_v%llu.qcow2",
+  CheckpointProxy::Capture cap;
+  cap.backend = backend;
+  cap.mirror = inst.mirror.get();
+  cap.qcow = inst.qcow.get();
+  cap.container = inst.qcow_container.get();
+  cap.pvfs = cloud_->pvfs();
+  if (backend != Backend::BlobCR) {
+    cap.dest_path = common::strf(
+        "/ckpt/d%llu_inst%zu%s_v%llu.qcow2",
         static_cast<unsigned long long>(seq_), i,
+        backend == Backend::Qcow2Full ? "_full" : "",
         static_cast<unsigned long long>(inst.snapshot_counter));
-    const QcowSnapshotResult r = co_await inst.qdisk_proxy->request_checkpoint(
-        *inst.vm, *inst.qcow, *inst.qcow_container, *cloud_->pvfs(), path);
-    snap.pvfs_path = r.pvfs_path;
-    snap.qcow_state = r.state;
-    snap.bytes = r.bytes;
-    snap.vm_downtime = r.vm_downtime;
-  } else {
-    const std::string path = common::strf(
-        "/ckpt/d%llu_inst%zu_full_v%llu.qcow2",
-        static_cast<unsigned long long>(seq_), i,
-        static_cast<unsigned long long>(inst.snapshot_counter));
-    const QcowSnapshotResult r = co_await inst.qfull_proxy->request_checkpoint(
-        *inst.vm, *inst.qcow, *inst.qcow_container, *cloud_->pvfs(), path,
-        inst.last_snapshot.pvfs_path);
-    snap.pvfs_path = r.pvfs_path;
-    snap.qcow_state = r.state;
-    snap.bytes = r.bytes;
-    snap.vm_downtime = r.vm_downtime;
   }
+  // The latest qcow2-full container subsumes all earlier internal
+  // snapshots, so the previous copy goes.
+  if (backend == Backend::Qcow2Full) {
+    cap.previous_path = inst.last_snapshot.pvfs_path;
+  }
+  const CheckpointProxy::Result r =
+      co_await inst.proxy->request_checkpoint(*inst.vm, cap);
+
+  InstanceSnapshot snap;
+  snap.instance = i;
+  snap.backend = backend;
+  snap.image = r.image;
+  snap.version = r.version;
+  snap.pvfs_path = cap.dest_path;
+  snap.qcow_state = r.qcow_state;
+  // BlobCR sizes come from the published version record (a provisional
+  // async version gets its size when the drain publishes); the baselines
+  // count the container bytes shipped.
+  if (backend != Backend::BlobCR) snap.bytes = r.payload_bytes;
+  (void)refresh_snapshot_bytes(*cloud_, snap);
+  snap.vm_downtime = r.vm_downtime;
   inst.last_snapshot = snap;
   co_return snap;
 }
 
-sim::Task<GlobalCheckpoint> Deployment::checkpoint_all() {
-  auto result = std::make_shared<GlobalCheckpoint>();
-  result->snapshots.resize(count_);
+sim::Task<std::vector<InstanceSnapshot>> Deployment::checkpoint_all() {
+  auto result = std::make_shared<std::vector<InstanceSnapshot>>(count_);
   std::vector<sim::Task<>> tasks;
   tasks.reserve(count_);
   for (std::size_t i = 0; i < count_; ++i) {
     tasks.push_back(
         [](Deployment* self, std::size_t idx,
-           std::shared_ptr<GlobalCheckpoint> out) -> sim::Task<> {
-          out->snapshots[idx] = co_await self->snapshot_instance(idx);
+           std::shared_ptr<std::vector<InstanceSnapshot>> out) -> sim::Task<> {
+          (*out)[idx] = co_await self->snapshot_instance(idx);
         }(this, i, result));
   }
   co_await sim::when_all(cloud_->simulation(), std::move(tasks));
-  co_return *result;
+  co_return std::move(*result);
 }
 
-GlobalCheckpoint Deployment::collect_last_snapshots() const {
-  GlobalCheckpoint ckpt;
-  for (const auto& inst : instances_) {
-    InstanceSnapshot snap = inst->last_snapshot;
-    // An async snapshot recorded while still provisional has bytes == 0;
-    // once the drain published, the version record knows the size — refresh
-    // so Fig4/Table1-style accounting sees drained snapshots.
-    if (snap.backend == Backend::BlobCR && snap.image != 0 &&
-        snap.version != 0 && snap.bytes == 0 &&
-        cloud_->store_of_blob(snap.image) != nullptr &&
-        cloud_->store_of_blob(snap.image)->version_manager().exists(
-            snap.image)) {
-      const blob::BlobMeta& meta =
-          cloud_->store_of_blob(snap.image)->version_manager().peek(snap.image);
-      if (snap.version <= meta.versions.size()) {
-        const blob::VersionInfo& v = meta.version(snap.version);
-        if (!v.pending) snap.bytes = v.new_chunk_bytes + v.new_meta_bytes;
-      }
-    }
-    ckpt.snapshots.push_back(std::move(snap));
-  }
-  return ckpt;
+bool refresh_snapshot_bytes(Cloud& cloud, InstanceSnapshot& snap) {
+  if (snap.backend != Backend::BlobCR || snap.image == 0 || snap.version == 0)
+    return true;
+  blob::BlobStore* store = cloud.store_of_blob(snap.image);
+  if (store == nullptr || !store->version_manager().exists(snap.image))
+    return false;
+  const blob::BlobMeta& meta = store->version_manager().peek(snap.image);
+  if (snap.version > meta.versions.size()) return false;
+  const blob::VersionInfo& v = meta.version(snap.version);
+  if (v.pending) return false;
+  if (snap.bytes == 0) snap.bytes = v.new_chunk_bytes + v.new_meta_bytes;
+  return true;
 }
 
 void Deployment::destroy_all() {
@@ -665,14 +646,9 @@ sim::Task<> Deployment::build_instance_from_snapshot(std::size_t i,
     // an elastic clone (M > N), which shares its source tuple with another
     // instance and must derive a fresh image on its first commit instead.
     if (adopt_image) inst->mirror->set_checkpoint_blob(snap.image, snap.version);
-    inst->proxy = std::make_unique<CheckpointProxy>(
-        cloud.simulation(), cloud.fabric(), node);
-  } else {
-    inst->qdisk_proxy = std::make_unique<QcowDiskProxy>(
-        cloud.simulation(), cloud.fabric(), node);
-    inst->qfull_proxy = std::make_unique<QcowFullProxy>(
-        cloud.simulation(), cloud.fabric(), node);
   }
+  inst->proxy = std::make_unique<CheckpointProxy>(cloud.simulation(),
+                                                  cloud.fabric(), node);
 
   vm::VmConfig vmc = cfg.vm;
   vmc.name = common::strf("vm%zu-r", i);

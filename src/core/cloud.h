@@ -25,7 +25,6 @@
 #include "core/mirror_device.h"
 #include "flush/flush.h"
 #include "core/proxy.h"
-#include "core/qcow_proxy.h"
 #include "img/qcow.h"
 #include "mpi/mpi.h"
 #include "net/fabric.h"
@@ -48,8 +47,6 @@ class Manager;
 }
 
 namespace blobcr::core {
-
-enum class Backend { BlobCR, Qcow2Disk, Qcow2Full };
 
 const char* backend_name(Backend b);
 
@@ -130,15 +127,6 @@ struct InstanceSnapshot {
   /// BlobCR, shipped container bytes for the baselines.
   std::uint64_t bytes = 0;
   sim::Duration vm_downtime = 0;
-};
-
-struct GlobalCheckpoint {
-  std::vector<InstanceSnapshot> snapshots;
-  std::uint64_t total_bytes() const {
-    std::uint64_t sum = 0;
-    for (const auto& s : snapshots) sum += s.bytes;
-    return sum;
-  }
 };
 
 /// One new instance's share of an N -> M restart: the snapshot it boots
@@ -305,6 +293,13 @@ class Cloud {
   net::TenantId pvfs_tenant_seq_ = 0;  // fallback ids for non-BlobCR backends
 };
 
+/// The size rule for BlobCR snapshots (Figure 4 / Table 1): once `snap`'s
+/// version is published, an unknown size (bytes == 0, e.g. an async
+/// snapshot recorded while provisional) becomes the version's new chunk
+/// payload + new metadata. Returns false only for a BlobCR tuple whose
+/// version the repository does not hold as published yet.
+bool refresh_snapshot_bytes(Cloud& cloud, InstanceSnapshot& snap);
+
 class Deployment {
  public:
   /// Per-job construction knobs for multi-tenant clouds. The defaults give
@@ -353,8 +348,6 @@ class Deployment {
     bool failed = false;
     std::unique_ptr<vm::VmInstance> vm;
     std::unique_ptr<CheckpointProxy> proxy;
-    std::unique_ptr<QcowDiskProxy> qdisk_proxy;
-    std::unique_ptr<QcowFullProxy> qfull_proxy;
     std::uint64_t snapshot_counter = 0;
     InstanceSnapshot last_snapshot;
     /// Extra pre-rescale shards adopted by this instance (elastic M < N).
@@ -411,19 +404,13 @@ class Deployment {
   /// parallel.
   sim::Task<> deploy_and_boot();
 
-  /// Guest-triggered disk snapshot of one instance (dispatches to the
-  /// backend's proxy). Updates the instance's last-snapshot record.
+  /// Guest-triggered disk snapshot of one instance through its node's
+  /// proxy. Updates the instance's last-snapshot record.
   sim::Task<InstanceSnapshot> snapshot_instance(std::size_t i);
 
   /// Snapshots every instance in parallel (the qcow2-full driver and
-  /// external checkpoint tests).
-  sim::Task<GlobalCheckpoint> checkpoint_all();
-
-  /// The most recent snapshot of every instance — the globally consistent
-  /// line the middleware would pick for a restart. Mechanism layer:
-  /// drivers go through cr::Session, which records this line durably in
-  /// the checkpoint catalog instead of holding it in memory.
-  GlobalCheckpoint collect_last_snapshots() const;
+  /// external checkpoint tests); element i is instance i's snapshot.
+  sim::Task<std::vector<InstanceSnapshot>> checkpoint_all();
 
   /// Kills all instances (termination or simulated global failure).
   void destroy_all();

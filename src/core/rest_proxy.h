@@ -41,8 +41,10 @@ class RestProxyFrontend {
       co_return error_response(403, "Forbidden", "bad or missing token");
 
     try {
+      CheckpointProxy::Capture cap;
+      cap.mirror = &dev;
       const CheckpointProxy::Result result =
-          co_await proxy_->request_checkpoint(vm, dev);
+          co_await proxy_->request_checkpoint(vm, cap);
       WireResponse resp;
       resp.status = 200;
       resp.reason = "OK";

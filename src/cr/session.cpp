@@ -72,7 +72,14 @@ Task<> Session::stage_last(std::string tag) {
   CheckpointRecord rec;
   rec.parent = lineage_head_;
   rec.tag = std::move(tag);
-  rec.snapshots = dep_->collect_last_snapshots().snapshots;
+  // The line is every instance's most recent snapshot. Sizes refresh the
+  // same way publish_staged does, so a staged frame carries the bytes it
+  // will carry once Complete.
+  for (std::size_t i = 0; i < dep_->size(); ++i) {
+    core::InstanceSnapshot s = dep_->instance(i).last_snapshot;
+    (void)core::refresh_snapshot_bytes(dep_->cloud(), s);
+    rec.snapshots.push_back(std::move(s));
+  }
   rec = co_await catalog_.stage(std::move(rec));
   staged_ = rec.id;
 }
@@ -91,32 +98,22 @@ Task<CheckpointRecord> Session::publish_staged() {
   }
   if (!found) throw CrError("staged checkpoint record vanished from catalog");
 
-  // Refresh the tuples: provisional (async) snapshots recorded bytes == 0
+  // Re-read the tuples: provisional (async) snapshots recorded bytes == 0
   // at stage time; the published version records know their sizes now.
-  rec.snapshots = dep_->collect_last_snapshots().snapshots;
-
   // A record is Complete only when every snapshot is *published*. Callers
   // must have drained first (the protocol's drain barrier / commit_last);
   // finding a still-pending version here means the line is not global.
-  if (dep_->cloud().blob_store() != nullptr) {
-    for (const core::InstanceSnapshot& s : rec.snapshots) {
-      if (s.backend != core::Backend::BlobCR || s.image == 0 ||
-          s.version == 0) {
-        continue;
-      }
-      // Commit affinity can land each instance's image in its own zone.
-      const blob::BlobMeta& meta =
-          dep_->cloud().store_of_blob(s.image)->version_manager().peek(
-              s.image);
-      if (s.version > meta.versions.size() ||
-          meta.version(s.version).pending) {
-        co_await abandon_staged();
-        throw CrError("checkpoint record " + std::to_string(rec.id) +
-                      " cannot complete: instance " +
-                      std::to_string(s.instance) +
-                      "'s snapshot never published");
-      }
+  rec.snapshots.clear();
+  for (std::size_t i = 0; i < dep_->size(); ++i) {
+    core::InstanceSnapshot s = dep_->instance(i).last_snapshot;
+    if (!core::refresh_snapshot_bytes(dep_->cloud(), s)) {
+      co_await abandon_staged();
+      throw CrError("checkpoint record " + std::to_string(rec.id) +
+                    " cannot complete: instance " +
+                    std::to_string(s.instance) +
+                    "'s snapshot never published");
     }
+    rec.snapshots.push_back(std::move(s));
   }
 
   // A committed global checkpoint is a durability boundary for the peer

@@ -378,7 +378,9 @@ TEST(ProxyTest, PausesVmDuringSnapshot) {
   rig.run([](TestRig*, CheckpointProxy* p, vm::VmInstance* v,
              MirrorDevice* m, CheckpointProxy::Result& out) -> Task<> {
     co_await m->write(0, Buffer::pattern(4 * kChunk, 9));
-    out = co_await p->request_checkpoint(*v, *m);
+    CheckpointProxy::Capture cap;
+    cap.mirror = m;
+    out = co_await p->request_checkpoint(*v, cap);
   }(&rig, &proxy, &vm, mirror.get(), result));
   EXPECT_GT(result.vm_downtime, 0);
   EXPECT_EQ(result.payload_bytes, 4 * kChunk);
@@ -397,8 +399,10 @@ TEST(ProxyTest, RejectsForeignVm) {
   bool threw = false;
   rig.run([](CheckpointProxy* p, vm::VmInstance* v, MirrorDevice* m,
              bool& out) -> Task<> {
+    CheckpointProxy::Capture cap;
+    cap.mirror = m;
     try {
-      (void)co_await p->request_checkpoint(*v, *m);
+      (void)co_await p->request_checkpoint(*v, cap);
     } catch (const std::runtime_error&) {
       out = true;
     }

@@ -202,6 +202,15 @@ TEST(CrCatalogTest, DrainKilledMidPublishLeavesUnselectableIncompleteRecord) {
 
     co_await write_state(&dep->vm(0), 500);
     const CheckpointRecord good = co_await session->checkpoint("good");
+    // The snapshot was recorded while provisional; the Complete record
+    // carries the published version's exact size.
+    for (const core::InstanceSnapshot& s : good.snapshots) {
+      const blob::VersionInfo& v = cl->store_of_blob(s.image)
+                                       ->version_manager()
+                                       .peek(s.image)
+                                       .version(s.version);
+      EXPECT_EQ(s.bytes, v.new_chunk_bytes + v.new_meta_bytes);
+    }
 
     // Arm the flush crash harness: fail-stop the node's drain agent at the
     // Putting stage boundary, exactly mid-publish.

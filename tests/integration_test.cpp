@@ -81,8 +81,8 @@ TEST_P(CheckpointRestartTest, FullLifecycleRestoresStateAndRollsBackIo) {
     co_await write_state(&dep.vm(1), 1001);
 
     // Global checkpoint.
-    GlobalCheckpoint ckpt = co_await dep.checkpoint_all();
-    for (const auto& s : ckpt.snapshots) EXPECT_GT(s.bytes, 0u);
+    const std::vector<InstanceSnapshot> line = co_await dep.checkpoint_all();
+    for (const auto& s : line) EXPECT_GT(s.bytes, 0u);
 
     // Post-checkpoint writes that must vanish after restore.
     co_await damage_state(&dep.vm(0));
@@ -91,7 +91,7 @@ TEST_P(CheckpointRestartTest, FullLifecycleRestoresStateAndRollsBackIo) {
     // Catastrophic failure; redeploy on different nodes (shift by 2).
     dep.destroy_all();
     co_await dep.restart_from(
-        cr::build_restart_plan(ckpt.snapshots, ckpt.snapshots.size()),
+        cr::build_restart_plan(line, line.size()),
         /*node_offset=*/2);
 
     co_await verify_state(&dep.vm(0), 1000, &(*out)[0]);
@@ -120,13 +120,13 @@ TEST(QcowFullIntegrationTest, ResumeRollsDiskBackWithoutReboot) {
     Deployment dep(*cl, 1);
     co_await dep.deploy_and_boot();
     co_await write_state(&dep.vm(0), 2000);
-    GlobalCheckpoint ckpt = co_await dep.checkpoint_all();
+    const std::vector<InstanceSnapshot> line = co_await dep.checkpoint_all();
     co_await damage_state(&dep.vm(0));
     dep.destroy_all();
 
     const sim::Time t0 = cl->simulation().now();
     co_await dep.restart_from(
-        cr::build_restart_plan(ckpt.snapshots, ckpt.snapshots.size()), 2);
+        cr::build_restart_plan(line, line.size()), 2);
     *rt = cl->simulation().now() - t0;
 
     // qcow2-full resumes without reboot: no mounted fs on the new VM, but
@@ -182,6 +182,44 @@ TEST(SuccessiveCheckpointTest, BlobcrShipsDeltasQcowShipsEverything) {
   EXPECT_LT(blobcr_sizes[2] * 2, qcow_sizes[2]);
 }
 
+// A baseline capture that fails mid-pause still resumes the VM (§3.3) and
+// reports the failure: pre-creating the next snapshot's PVFS path makes the
+// container copy's create fail with "file exists".
+class QcowCaptureFailureTest : public ::testing::TestWithParam<Backend> {};
+
+TEST_P(QcowCaptureFailureTest, SnapshotRethrowsWithVmResumed) {
+  const Backend backend = GetParam();
+  Cloud cloud(tiny_cfg(backend));
+  bool threw = false;
+  bool paused = true;
+
+  cloud.run([](Cloud* cl, Backend backend, bool* threw,
+               bool* paused) -> Task<> {
+    co_await cl->provision_base_image();
+    Deployment dep(*cl, 1);
+    co_await dep.deploy_and_boot();
+    // The cloud's first deployment, instance 0, snapshot 1.
+    const std::string next = backend == Backend::Qcow2Full
+                                 ? "/ckpt/d1_inst0_full_v1.qcow2"
+                                 : "/ckpt/d1_inst0_v1.qcow2";
+    pfs::PvfsClient client(*cl->pvfs(), cl->compute_node(0));
+    (void)co_await client.create(next);
+    try {
+      (void)co_await dep.snapshot_instance(0);
+    } catch (const pfs::PvfsError&) {
+      *threw = true;
+    }
+    *paused = dep.vm(0).paused();
+  }(&cloud, backend, &threw, &paused));
+
+  EXPECT_TRUE(threw);
+  EXPECT_FALSE(paused);
+}
+
+INSTANTIATE_TEST_SUITE_P(Baselines, QcowCaptureFailureTest,
+                         ::testing::Values(Backend::Qcow2Disk,
+                                           Backend::Qcow2Full));
+
 TEST(FailureInjectionTest, ReplicatedRepositorySurvivesNodeLoss) {
   Cloud cloud(tiny_cfg(Backend::BlobCR, /*replication=*/2));
   VerifyResult result;
@@ -191,13 +229,13 @@ TEST(FailureInjectionTest, ReplicatedRepositorySurvivesNodeLoss) {
     Deployment dep(*cl, 1);
     co_await dep.deploy_and_boot();
     co_await write_state(&dep.vm(0), 3000);
-    GlobalCheckpoint ckpt = co_await dep.checkpoint_all();
+    const std::vector<InstanceSnapshot> line = co_await dep.checkpoint_all();
 
     // Fail-stop the instance's node: VM dies AND the data provider on that
     // node loses all its chunks.
     dep.fail_instance(0);
     co_await dep.restart_from(
-        cr::build_restart_plan(ckpt.snapshots, ckpt.snapshots.size()), 1);
+        cr::build_restart_plan(line, line.size()), 1);
     co_await verify_state(&dep.vm(0), 3000, out);
   }(&cloud, &result));
 
@@ -214,12 +252,12 @@ TEST(FailureInjectionTest, UnreplicatedRepositoryLosesData) {
     Deployment dep(*cl, 1);
     co_await dep.deploy_and_boot();
     co_await write_state(&dep.vm(0), 4000);
-    GlobalCheckpoint ckpt = co_await dep.checkpoint_all();
+    const std::vector<InstanceSnapshot> line = co_await dep.checkpoint_all();
     dep.fail_instance(0);
     bool threw = false;
     try {
       co_await dep.restart_from(
-          cr::build_restart_plan(ckpt.snapshots, ckpt.snapshots.size()), 1);
+          cr::build_restart_plan(line, line.size()), 1);
       VerifyResult r;
       co_await verify_state(&dep.vm(0), 4000, &r);
       threw = !r.state_ok;
@@ -262,23 +300,52 @@ TEST(DeploymentTest, PlacementRefusesMoreInstancesThanComputeNodes) {
   EXPECT_EQ(dep.size(), 4u);
 }
 
+TEST(CloudTest, StallReportNamesTheBlockedProcesses) {
+  // The driver waits alone on a 2-party barrier, next to ten waiters on a
+  // barrier that never fills: the error names the first eight unfinished
+  // processes and counts the rest.
+  Cloud cloud(tiny_cfg(Backend::BlobCR));
+  sim::Barrier alone(cloud.simulation(), 2);
+  sim::Barrier crowd(cloud.simulation(), 11);
+  std::string message;
+  try {
+    cloud.run([](Cloud* cl, sim::Barrier* alone,
+                 sim::Barrier* crowd) -> Task<> {
+      for (int i = 0; i < 10; ++i) {
+        cl->simulation().spawn("waiter", [](sim::Barrier* b) -> Task<> {
+          co_await b->arrive_and_wait();
+        }(crowd));
+      }
+      co_await alone->arrive_and_wait();
+    }(&cloud, &alone, &crowd));
+  } catch (const std::runtime_error& e) {
+    message = e.what();
+  }
+  EXPECT_NE(message.find("unfinished: driver, waiter"), std::string::npos)
+      << message;
+  EXPECT_NE(message.find("and 3 more"), std::string::npos) << message;
+}
+
 TEST(DeploymentTest, SnapshotMappingIsRecorded) {
   Cloud cloud(tiny_cfg(Backend::BlobCR));
-  GlobalCheckpoint collected;
+  std::vector<InstanceSnapshot> collected;
 
-  cloud.run([](Cloud* cl, GlobalCheckpoint* out) -> Task<> {
+  cloud.run([](Cloud* cl, std::vector<InstanceSnapshot>* out) -> Task<> {
     co_await cl->provision_base_image();
     Deployment dep(*cl, 2);
     co_await dep.deploy_and_boot();
     co_await write_state(&dep.vm(0), 1);
     co_await write_state(&dep.vm(1), 2);
     (void)co_await dep.checkpoint_all();
-    *out = dep.collect_last_snapshots();
+    // The mapping lives in each instance's last-snapshot record.
+    for (std::size_t i = 0; i < dep.size(); ++i) {
+      out->push_back(dep.instance(i).last_snapshot);
+    }
   }(&cloud, &collected));
 
-  ASSERT_EQ(collected.snapshots.size(), 2u);
-  EXPECT_NE(collected.snapshots[0].image, collected.snapshots[1].image);
-  for (const auto& s : collected.snapshots) {
+  ASSERT_EQ(collected.size(), 2u);
+  EXPECT_NE(collected[0].image, collected[1].image);
+  for (const auto& s : collected) {
     EXPECT_NE(s.image, 0u);
     EXPECT_GE(s.version, 2u);  // v1 = clone, v2+ = commits
   }

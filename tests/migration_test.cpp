@@ -95,10 +95,9 @@ TEST_P(MigrationTest, CheckpointChainContinuesAfterMigration) {
     out->post_migration_snapshot_bytes = snap.bytes;
 
     // Restart from that snapshot elsewhere and verify both generations.
-    GlobalCheckpoint ckpt = dep.collect_last_snapshots();
     dep.destroy_all();
-    co_await dep.restart_from(
-        cr::build_restart_plan(ckpt.snapshots, ckpt.snapshots.size()), 4);
+    const std::vector<InstanceSnapshot> line{snap};
+    co_await dep.restart_from(cr::build_restart_plan(line, 1), 4);
     guestfs::SimpleFs* fs3 = dep.vm(0).fs();
     const Buffer a = co_await fs3->read_file("/data/a.bin");
     const Buffer b = co_await fs3->read_file("/data/b.bin");

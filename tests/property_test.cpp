@@ -364,8 +364,7 @@ TEST_P(KillPointTest, AbortedSnapshotNeverCorruptsPreviousCheckpoint) {
     guestfs::SimpleFs* fs = dep.vm(0).fs();
     co_await fs->write_file("/data/state.bin", Buffer::pattern(400'000, 1));
     co_await fs->sync();
-    (void)co_await dep.snapshot_instance(0);
-    const core::GlobalCheckpoint good = dep.collect_last_snapshots();
+    const core::InstanceSnapshot good = co_await dep.snapshot_instance(0);
 
     // New dirty state, then a snapshot attempt that dies mid-protocol.
     co_await fs->write_file("/data/state.bin", Buffer::pattern(400'000, 2));
@@ -378,8 +377,8 @@ TEST_P(KillPointTest, AbortedSnapshotNeverCorruptsPreviousCheckpoint) {
     snap->kill();  // fail-stop at an arbitrary protocol point
 
     dep.destroy_all();
-    co_await dep.restart_from(
-        cr::build_restart_plan(good.snapshots, good.snapshots.size()), 1);
+    const std::vector<core::InstanceSnapshot> good_line{good};
+    co_await dep.restart_from(cr::build_restart_plan(good_line, 1), 1);
     guestfs::SimpleFs* fs2 = dep.vm(0).fs();
     const Buffer a = co_await fs2->read_file("/data/state.bin");
     out->state_a_intact = (a == Buffer::pattern(400'000, 1));
@@ -388,11 +387,10 @@ TEST_P(KillPointTest, AbortedSnapshotNeverCorruptsPreviousCheckpoint) {
     // The repository must not be wedged: the next checkpoint still works.
     co_await fs2->write_file("/data/state.bin", Buffer::pattern(400'000, 3));
     co_await fs2->sync();
-    (void)co_await dep.snapshot_instance(0);
-    const core::GlobalCheckpoint next = dep.collect_last_snapshots();
+    const core::InstanceSnapshot next = co_await dep.snapshot_instance(0);
     dep.destroy_all();
-    co_await dep.restart_from(
-        cr::build_restart_plan(next.snapshots, next.snapshots.size()), 2);
+    const std::vector<core::InstanceSnapshot> next_line{next};
+    co_await dep.restart_from(cr::build_restart_plan(next_line, 1), 2);
     const Buffer c = co_await dep.vm(0).fs()->read_file("/data/state.bin");
     out->next_checkpoint_works = (c == Buffer::pattern(400'000, 3));
   }(&cloud, kill_after, &out));

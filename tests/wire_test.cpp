@@ -169,16 +169,14 @@ TEST(RestProxyTest, ChecksAuthPathMethodAndServesCheckpoints) {
         "garbage\r\n\r\n", *inst.vm, *inst.mirror));
 
     // The REST-taken snapshot is a real checkpoint: restart from it.
-    inst.last_snapshot.backend = Backend::BlobCR;
-    inst.last_snapshot.instance = 0;
-    inst.last_snapshot.image =
+    InstanceSnapshot snap;
+    snap.image =
         static_cast<blob::BlobId>(std::stoull(out->ok.fields.at("image")));
-    inst.last_snapshot.version = static_cast<blob::VersionId>(
+    snap.version = static_cast<blob::VersionId>(
         std::stoull(out->ok.fields.at("version")));
-    GlobalCheckpoint ckpt = dep.collect_last_snapshots();
     dep.destroy_all();
-    co_await dep.restart_from(
-        cr::build_restart_plan(ckpt.snapshots, ckpt.snapshots.size()), 2);
+    const std::vector<InstanceSnapshot> line{snap};
+    co_await dep.restart_from(cr::build_restart_plan(line, 1), 2);
     const Buffer back = co_await dep.vm(0).fs()->read_file("/data/state.bin");
     out->restored = (back == Buffer::pattern(200'000, 4));
   }(&cloud, &out));

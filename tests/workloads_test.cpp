@@ -19,7 +19,7 @@ using core::Backend;
 using core::Cloud;
 using core::CloudConfig;
 using core::Deployment;
-using core::GlobalCheckpoint;
+using core::InstanceSnapshot;
 using sim::Task;
 
 CloudConfig tiny_cfg(Backend backend) {
@@ -107,14 +107,15 @@ Task<> hep_driver(Cloud* cl, HepConfig cfg, HepOut* out) {
   auto state = std::make_shared<HepOut>();
   sim::Event phase_done(cl->simulation());
 
-  dep.vm(0).start_guest("hep", [&dep, cfg, state,
+  InstanceSnapshot snap;
+  dep.vm(0).start_guest("hep", [&dep, cfg, state, &snap,
                                 &phase_done](vm::GuestProcess& gp) -> Task<> {
     HepRank hep(gp, cfg, 0);
     co_await hep.init();
     co_await hep.process_until(600);
     (void)co_await hep.write_checkpoint();
     co_await gp.vm().fs()->sync();
-    (void)co_await dep.snapshot_instance(0);
+    snap = co_await dep.snapshot_instance(0);
     state->expected_at_ckpt = hep.expected_hits(600);
     state->records_at_ckpt = co_await hep.count_log_records();
     // Post-checkpoint work whose output will be rolled back — explicitly
@@ -128,10 +129,9 @@ Task<> hep_driver(Cloud* cl, HepConfig cfg, HepOut* out) {
   co_await phase_done.wait();
   co_await dep.vm(0).join_guests();
 
-  const GlobalCheckpoint ckpt = dep.collect_last_snapshots();
   dep.destroy_all();
-  co_await dep.restart_from(
-      cr::build_restart_plan(ckpt.snapshots, ckpt.snapshots.size()), 2);
+  const std::vector<InstanceSnapshot> line{snap};
+  co_await dep.restart_from(cr::build_restart_plan(line, 1), 2);
 
   sim::Event recovered(cl->simulation());
   dep.vm(0).start_guest("hep-recover",
@@ -189,23 +189,23 @@ TEST(HepCloudTest, HistogramSurvivesRoundTripByDigest) {
     Deployment dep(*cl, 1);
     co_await dep.deploy_and_boot();
     sim::Event done(cl->simulation());
-    dep.vm(0).start_guest("hep", [&dep, cfg, out,
+    InstanceSnapshot snap;
+    dep.vm(0).start_guest("hep", [&dep, cfg, out, &snap,
                                   &done](vm::GuestProcess& gp) -> Task<> {
       HepRank hep(gp, cfg, 0);
       co_await hep.init();
       co_await hep.process_until(400);
       (void)co_await hep.write_checkpoint();
       co_await gp.vm().fs()->sync();
-      (void)co_await dep.snapshot_instance(0);
+      snap = co_await dep.snapshot_instance(0);
       out->digest_at_ckpt = hep.state_digest();
       done.set();
     });
     co_await done.wait();
     co_await dep.vm(0).join_guests();
-    const GlobalCheckpoint ckpt = dep.collect_last_snapshots();
     dep.destroy_all();
-    co_await dep.restart_from(
-        cr::build_restart_plan(ckpt.snapshots, ckpt.snapshots.size()), 1);
+    const std::vector<InstanceSnapshot> line{snap};
+    co_await dep.restart_from(cr::build_restart_plan(line, 1), 1);
     sim::Event done2(cl->simulation());
     dep.vm(0).start_guest("hep2", [cfg, out,
                                    &done2](vm::GuestProcess& gp) -> Task<> {
@@ -336,23 +336,23 @@ TEST(KmerCloudTest, InterruptedScanResumesToSameResult) {
     Deployment dep(*cl, 1);
     co_await dep.deploy_and_boot();
     sim::Event done(cl->simulation());
-    dep.vm(0).start_guest("kmer", [&dep, kcfg,
+    InstanceSnapshot snap;
+    dep.vm(0).start_guest("kmer", [&dep, kcfg, &snap,
                                    &done](vm::GuestProcess& gp) -> Task<> {
       KmerRank scan(gp, kcfg, 0);
       co_await scan.init();
       co_await scan.scan_until(kcfg.reference_bytes / 2);
       (void)co_await scan.write_checkpoint();
       co_await gp.vm().fs()->sync();
-      (void)co_await dep.snapshot_instance(0);
+      snap = co_await dep.snapshot_instance(0);
       done.set();
     });
     co_await done.wait();
     co_await dep.vm(0).join_guests();
 
-    const GlobalCheckpoint ckpt = dep.collect_last_snapshots();
     dep.destroy_all();
-    co_await dep.restart_from(
-        cr::build_restart_plan(ckpt.snapshots, ckpt.snapshots.size()), 2);
+    const std::vector<InstanceSnapshot> line{snap};
+    co_await dep.restart_from(cr::build_restart_plan(line, 1), 2);
 
     sim::Event done2(cl->simulation());
     dep.vm(0).start_guest("kmer2", [kcfg, out,
