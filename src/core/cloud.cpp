@@ -353,8 +353,7 @@ Deployment::Deployment(Cloud& cloud, std::size_t instances,
       tenant_(opts.tenant),
       flush_cfg_(opts.flush.has_value() ? *opts.flush : cloud.config().flush),
       seq_(cloud.next_deployment_seq()) {
-  bus_ = std::make_unique<PrefetchBus>(
-      cloud.simulation(), PrefetchBus::Config{kHintLatency, kPeerShape});
+  bus_ = std::make_unique<PrefetchBus>(cloud.simulation());
   if (cloud.config().backend == Backend::BlobCR &&
       cloud.config().reduction.enabled) {
     // The digest index is repository-scoped by default — concurrent jobs
@@ -776,25 +775,16 @@ std::uint64_t Deployment::boot_wan_bytes() const {
   return sum_mirrors(&MirrorDevice::wan_bytes_fetched);
 }
 
-sim::Task<std::optional<Deployment::PeerPayload>>
-Deployment::recover_chunk_payload(const ChunkKey& key, net::NodeId dst) {
+sim::Task<std::optional<common::Buffer>> Deployment::recover_chunk_payload(
+    const ChunkKey& key, net::NodeId dst) {
   // A surviving node's cached copy first: a real intra-deployment transfer
   // through the bus's fan-out accounting, like any restart peer copy.
-  if (auto peer = bus_->find_holder(key, dst)) {
-    struct CopyGuard {
-      PrefetchBus* bus;
-      ChunkKey key;
-      net::NodeId node;
-      ~CopyGuard() { bus->finish_peer_copy(key, node); }
-    } guard{bus_.get(), key, peer->node};
-    co_await cloud_->fabric().transfer(peer->node, dst, peer->data.size(),
-                                       bus_->peer_shape());
-    co_return PeerPayload{std::move(peer->data), peer->node};
-  }
+  if (auto copied = co_await bus_->copy_from_peer(cloud_->fabric(), key, dst))
+    co_return std::move(copied);
   // Parity-group rebuild second.
   if (redundancy::Manager* mgr = cloud_->redundancy()) {
     if (auto rebuilt = co_await mgr->rebuild(key, dst)) {
-      co_return PeerPayload{std::move(*rebuilt), dst};
+      co_return std::move(rebuilt);
     }
   }
   // Last resort: scan the attached caches directly — content can be
@@ -807,8 +797,8 @@ Deployment::recover_chunk_payload(const ChunkKey& key, net::NodeId dst) {
     if (const common::Buffer* hit = cache->get(key)) {
       common::Buffer data = *hit;
       co_await cloud_->fabric().transfer(inst->node, dst, data.size(),
-                                         bus_->peer_shape());
-      co_return PeerPayload{std::move(data), inst->node};
+                                         kPeerShape);
+      co_return std::move(data);
     }
   }
   co_return std::nullopt;

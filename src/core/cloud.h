@@ -57,14 +57,6 @@ inline constexpr double kDiskBandwidthBps = 55e6;  // SATA II
 inline constexpr sim::Duration kDiskPositionCost = 6 * sim::kMillisecond;
 inline constexpr std::uint64_t kPvfsStripe = 256 * 1024;
 inline constexpr std::uint64_t kQcowClusterSize = 64 * 1024;
-/// Latency of a prefetch hint between the mirroring modules of one
-/// deployment.
-inline constexpr sim::Duration kHintLatency = 300 * sim::kMicrosecond;
-/// Content-addressed restart data plane: intra-deployment peer copies of
-/// decoded chunks (and the parity tier's transfers) run as their own
-/// traffic class — typically same-rack, so lower latency than repository
-/// requests; no rate cap beyond the NIC fair share.
-inline constexpr net::Fabric::Shape kPeerShape{50 * sim::kMicrosecond, 0};
 /// Per-compute-node decoded-chunk cache (shared by all mirroring modules
 /// on the node; backs the peer exchange).
 inline constexpr std::uint64_t kChunkCacheBytes = 512 * common::kMB;
@@ -466,13 +458,9 @@ class Deployment {
 
   /// Scavenge support (cr::Session::scavenge): best-effort recovery of one
   /// chunk's decoded payload from the peer tier — a surviving node's cache
-  /// copy first, a parity-group rebuild second. Returns the payload and the
-  /// node it came from, or nullopt when the tier cannot produce it.
-  struct PeerPayload {
-    common::Buffer data;
-    net::NodeId node = 0;
-  };
-  sim::Task<std::optional<PeerPayload>> recover_chunk_payload(
+  /// copy first, a parity-group rebuild second — delivered to `dst`.
+  /// Returns nullopt when the tier cannot produce it.
+  sim::Task<std::optional<common::Buffer>> recover_chunk_payload(
       const ChunkKey& key, net::NodeId dst);
 
  private:

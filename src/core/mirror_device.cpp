@@ -38,8 +38,6 @@ MirrorDevice::MirrorDevice(blob::BlobStore& store, net::NodeId host,
       node_cache_(node_cache) {
   assert(cfg_.capacity > 0);
   client_.set_tenant(cfg_.tenant);
-  prefetch_slots_ = std::make_unique<sim::Semaphore>(
-      store.simulation(), static_cast<std::int64_t>(kPrefetchStreams));
   if (bus_ != nullptr) bus_->attach(this);
   if (cfg_.redundancy != nullptr)
     cfg_.redundancy->attach(host_, &this->node_cache());
@@ -51,7 +49,7 @@ MirrorDevice::MirrorDevice(blob::BlobStore& store, net::NodeId host,
 }
 
 MirrorDevice::~MirrorDevice() {
-  for (const auto& p : prefetchers_) {
+  for (const auto& p : prefetch_workers_) {
     if (p && !p->finished()) p->kill();
   }
   if (bus_ != nullptr) bus_->detach(this);
@@ -142,20 +140,10 @@ sim::Task<> MirrorDevice::materialize_chunk(std::uint64_t clo,
       }
       // 2. Peer copy: intra-deployment transfer instead of the repo.
       if (bus_ != nullptr) {
-        if (auto peer = bus_->find_holder(key, host_)) {
-          // RAII: the holder's fan-out slot frees even if this copier is
-          // fail-stopped mid-transfer.
-          struct CopyGuard {
-            PrefetchBus* bus;
-            ChunkKey key;
-            net::NodeId node;
-            ~CopyGuard() { bus->finish_peer_copy(key, node); }
-          } copy_guard{bus_, key, peer->node};
-          co_await store_->fabric().transfer(peer->node, host_,
-                                             peer->data.size(),
-                                             bus_->peer_shape());
-          peer_bytes_fetched_ += peer->data.size();
-          data = std::move(peer->data);
+        if (auto copied =
+                co_await bus_->copy_from_peer(store_->fabric(), key, host_)) {
+          peer_bytes_fetched_ += copied->size();
+          data = std::move(*copied);
           peer_sourced = true;
           break;
         }
@@ -427,36 +415,44 @@ void MirrorDevice::hint(std::uint64_t offset, std::uint64_t len) {
   const std::uint64_t end = std::min(offset + len, cfg_.capacity);
   if (offset >= end) return;
   if (available_.contains(offset, end)) return;
-  // Prune finished workers, then spawn a background fetch.
-  std::erase_if(prefetchers_,
-                [](const sim::ProcessPtr& p) { return !p || p->finished(); });
-  prefetchers_.push_back(store_->simulation().spawn(
-      "prefetch", prefetch_worker(offset, end)));
+  queue_prefetch(offset, end);
 }
 
-sim::Task<> MirrorDevice::prefetch_worker(std::uint64_t begin,
-                                          std::uint64_t end) {
-  // Repository-wide admission first: a mass rollback's prefetch storm
-  // queues at the admission plane's restart-prefetch gate alongside live
-  // commits. The permit is RAII-held across the fetch — the destructor
-  // kills prefetchers_ at teardown, and a leaked permit would wedge the
-  // next deployment's restart against this store.
-  net::FairGate::Permit admission = co_await store_->admission().admit(
-      qos::IoContext{cfg_.tenant, qos::GateClass::RestartPrefetch},
-      static_cast<double>(end - begin));
-  (void)admission;
-  // Local stream bound, released by an RAII guard — a plain release()
-  // after the co_await would leak the slot whenever the worker is killed
-  // mid-fetch.
-  co_await prefetch_slots_->acquire();
-  struct Slot {
-    sim::Semaphore* slots;
-    ~Slot() { slots->release(); }
-  } slot{prefetch_slots_.get()};
-  try {
-    co_await ensure_available(begin, end, /*announce=*/false);
-  } catch (...) {
-    // Backing unavailable: the demand path will surface it.
+void MirrorDevice::queue_prefetch(std::uint64_t begin, std::uint64_t end) {
+  prefetch_queue_.emplace_back(begin, end);
+  for (sim::ProcessPtr& w : prefetch_workers_) {
+    if (w == nullptr || w->finished()) {
+      w = store_->simulation().spawn("prefetch", prefetch_worker());
+      return;
+    }
+  }
+}
+
+sim::Task<> MirrorDevice::prefetch_worker() {
+  while (!prefetch_queue_.empty()) {
+    const auto [begin, end] = prefetch_queue_.front();
+    prefetch_queue_.pop_front();
+    {
+      // Repository-wide admission: a mass rollback's prefetch storm queues
+      // at the admission plane's restart-prefetch gate alongside live
+      // commits. The permit is RAII-held across the fetch only — the
+      // destructor kills the workers at teardown, and a leaked permit
+      // would wedge the next deployment's restart against this store.
+      net::FairGate::Permit admission = co_await store_->admission().admit(
+          qos::IoContext{cfg_.tenant, qos::GateClass::RestartPrefetch},
+          static_cast<double>(end - begin));
+      (void)admission;
+      try {
+        co_await ensure_available(begin, end, /*announce=*/false);
+      } catch (...) {
+        // Backing unavailable: the demand path will surface it.
+      }
+    }
+    // Start the next range behind the events already due now, so the
+    // demand reads this fetch just woke claim their chunks first (starting
+    // it inline changes which reader fetches a chunk, and with it the
+    // bus's hints).
+    if (!prefetch_queue_.empty()) co_await store_->simulation().yield();
   }
 }
 
@@ -468,23 +464,7 @@ MirrorDevice::resolve_backing_chunks() {
 
 void MirrorDevice::start_scheduled_prefetch(
     std::vector<std::pair<std::uint64_t, std::uint64_t>> ranges) {
-  if (ranges.empty()) return;
-  std::erase_if(prefetchers_,
-                [](const sim::ProcessPtr& p) { return !p || p->finished(); });
-  prefetchers_.push_back(store_->simulation().spawn(
-      "restart-prefetch", scheduled_prefetch_body(std::move(ranges))));
-}
-
-sim::Task<> MirrorDevice::scheduled_prefetch_body(
-    std::vector<std::pair<std::uint64_t, std::uint64_t>> ranges) {
-  // Each range worker gates on prefetch_slots_, so at most
-  // kPrefetchStreams chunks are in flight while the order is preserved.
-  std::vector<sim::Task<>> jobs;
-  jobs.reserve(ranges.size());
-  for (const auto& [begin, end] : ranges) {
-    jobs.push_back(prefetch_worker(begin, end));
-  }
-  co_await sim::when_all(store_->simulation(), std::move(jobs));
+  for (const auto& [begin, end] : ranges) queue_prefetch(begin, end);
 }
 
 // --- PrefetchBus -------------------------------------------------------------
@@ -516,7 +496,7 @@ void PrefetchBus::announce(MirrorDevice* self, const ChunkKey& key,
     // attach list gates both — bus gone drops the hint, device gone means
     // it is no longer listed.
     std::weak_ptr<std::vector<MirrorDevice*>> alive = mirrors_;
-    sim_->call_in(cfg_.hint_latency, [alive, m, offset, len] {
+    sim_->call_in(kHintLatency, [alive, m, offset, len] {
       const auto mirrors = alive.lock();
       if (!mirrors) return;
       if (std::find(mirrors->begin(), mirrors->end(), m) == mirrors->end())
@@ -543,10 +523,10 @@ void PrefetchBus::drop_node(net::NodeId node) {
   }
 }
 
-std::optional<PrefetchBus::PeerHit> PrefetchBus::find_holder(
-    const ChunkKey& key, net::NodeId self) {
+sim::Task<std::optional<common::Buffer>> PrefetchBus::copy_from_peer(
+    net::Fabric& fabric, const ChunkKey& key, net::NodeId dst) {
   const auto it = holders_.find(key);
-  if (it == holders_.end()) return std::nullopt;
+  if (it == holders_.end()) co_return std::nullopt;
   auto& vec = it->second;
   // `best` is a stable index: it only ever points at an already-visited
   // valid entry, and swap-pop eviction only rewrites positions at or after
@@ -555,7 +535,7 @@ std::optional<PrefetchBus::PeerHit> PrefetchBus::find_holder(
   std::size_t best = kNone;
   const common::Buffer* best_buf = nullptr;
   for (std::size_t i = 0; i < vec.size();) {
-    if (vec[i].node == self) {
+    if (vec[i].node == dst) {
       ++i;
       continue;
     }
@@ -574,14 +554,24 @@ std::optional<PrefetchBus::PeerHit> PrefetchBus::find_holder(
   }
   if (vec.empty()) {
     holders_.erase(it);
-    return std::nullopt;
+    co_return std::nullopt;
   }
   if (best == kNone || vec[best].active >= kPeerFanout) {
-    return std::nullopt;  // swarm oversubscribed: grow through the repo
+    co_return std::nullopt;  // swarm oversubscribed: grow through the repo
   }
   ++vec[best].active;
   ++peer_copies_;
-  return PeerHit{vec[best].node, *best_buf};
+  // Copied out so holder-side eviction cannot race the transfer; the guard
+  // frees the holder's fan-out slot even if the copier is killed.
+  common::Buffer data = *best_buf;
+  struct CopyGuard {
+    PrefetchBus* bus;
+    ChunkKey key;
+    net::NodeId node;
+    ~CopyGuard() { bus->finish_peer_copy(key, node); }
+  } copy_guard{this, key, vec[best].node};
+  co_await fabric.transfer(copy_guard.node, dst, data.size(), kPeerShape);
+  co_return std::move(data);
 }
 
 void PrefetchBus::finish_peer_copy(const ChunkKey& key, net::NodeId node) {

@@ -19,7 +19,9 @@
 //    each chunk once per node, not once per rank.
 #pragma once
 
+#include <array>
 #include <cstdint>
+#include <deque>
 #include <memory>
 #include <optional>
 #include <unordered_map>
@@ -71,7 +73,10 @@ class MirrorDevice : public img::BlockDevice {
     federation::Fabric* federation = nullptr;
   };
 
-  /// Background fetches in flight per device.
+  /// Background fetch streams per device: hinted and scheduled ranges
+  /// queue in one FIFO and at most this many of them fetch at once. A range
+  /// holds a restart-prefetch gate slot only while it fetches; queued
+  /// ranges hold none.
   static constexpr std::size_t kPrefetchStreams = 2;
 
   MirrorDevice(blob::BlobStore& store, net::NodeId host,
@@ -120,6 +125,10 @@ class MirrorDevice : public img::BlockDevice {
   std::uint64_t locally_available_bytes() const {
     return available_.total_length();
   }
+  /// True when all of [offset, offset+len) is held locally.
+  bool is_local(std::uint64_t offset, std::uint64_t len) const {
+    return available_.contains(offset, offset + len);
+  }
   /// Logical bytes materialized from any remote source (repository + peer
   /// copies + parity rebuilds). Zero holes and node-cache hits cost no
   /// transfer and are not counted here.
@@ -150,17 +159,16 @@ class MirrorDevice : public img::BlockDevice {
   /// Async mode: reflects the most recent *completed* drain.
   std::uint64_t last_commit_shipped() const;
 
-  /// Prefetch hint from the bus: fetch [offset, offset+len) in the
-  /// background if missing.
+  /// Prefetch hint from the bus: queue [offset, offset+len) for the
+  /// background streams if missing.
   void hint(std::uint64_t offset, std::uint64_t len);
 
   /// Resolves the whole backing window to chunk identity tuples (restart
   /// scheduler input; warms the metadata cache as a side effect).
   sim::Task<std::vector<blob::BlobClient::ChunkRef>> resolve_backing_chunks();
 
-  /// Kicks a background worker that materializes the given chunk-aligned
-  /// ranges in order, bounded by kPrefetchStreams (the restart scheduler
-  /// hands popularity-ordered ranges here).
+  /// Queues the given chunk-aligned ranges, in order, for the background
+  /// streams (the restart scheduler hands popularity-ordered ranges here).
   void start_scheduled_prefetch(
       std::vector<std::pair<std::uint64_t, std::uint64_t>> ranges);
 
@@ -186,9 +194,11 @@ class MirrorDevice : public img::BlockDevice {
   sim::Task<> materialize_chunk(std::uint64_t clo, std::uint64_t chi,
                                 const blob::ChunkLocation* loc,
                                 bool announce);
-  sim::Task<> prefetch_worker(std::uint64_t begin, std::uint64_t end);
-  sim::Task<> scheduled_prefetch_body(
-      std::vector<std::pair<std::uint64_t, std::uint64_t>> ranges);
+  /// Appends [begin, end) to the prefetch queue; starts an idle stream.
+  void queue_prefetch(std::uint64_t begin, std::uint64_t end);
+  /// One stream: pops ranges in FIFO order and fetches each under a
+  /// restart-prefetch gate permit; returns once the queue is empty.
+  sim::Task<> prefetch_worker();
   DecodedChunkCache& node_cache();
 
   blob::BlobStore* store_;
@@ -218,8 +228,8 @@ class MirrorDevice : public img::BlockDevice {
   std::uint64_t zero_bytes_ = 0;
   std::uint64_t last_commit_payload_ = 0;
   std::uint64_t last_commit_shipped_ = 0;
-  std::vector<sim::ProcessPtr> prefetchers_;
-  std::unique_ptr<sim::Semaphore> prefetch_slots_;
+  std::deque<std::pair<std::uint64_t, std::uint64_t>> prefetch_queue_;
+  std::array<sim::ProcessPtr, kPrefetchStreams> prefetch_workers_;
   /// Shared per-node cache (owned by the Cloud) or, when none was supplied
   /// (standalone devices in tests), a private fallback.
   DecodedChunkCache* node_cache_;
@@ -229,6 +239,15 @@ class MirrorDevice : public img::BlockDevice {
   std::unique_ptr<flush::FlushAgent> flush_agent_;
 };
 
+/// Latency of a prefetch hint between the mirroring modules of one
+/// deployment.
+inline constexpr sim::Duration kHintLatency = 300 * sim::kMicrosecond;
+/// Content-addressed restart data plane: intra-deployment peer copies of
+/// decoded chunks (and the parity tier's transfers) run as their own
+/// traffic class — typically same-rack, so lower latency than repository
+/// requests; no rate cap beyond the NIC fair share.
+inline constexpr net::Fabric::Shape kPeerShape{50 * sim::kMicrosecond, 0};
+
 /// PrefetchBus: the deployment-scoped content-addressed chunk exchange.
 ///
 /// What used to broadcast byte-range hints now coordinates on chunk
@@ -236,7 +255,7 @@ class MirrorDevice : public img::BlockDevice {
 ///
 ///  * holders_ records which nodes' DecodedChunkCaches hold which decoded
 ///    chunks, so an instance materializes a chunk a peer already has via an
-///    intra-deployment fabric copy (peer_shape: latency/bandwidth distinct
+///    intra-deployment fabric copy (kPeerShape: latency/bandwidth distinct
 ///    from repository transfers) instead of a repository fetch;
 ///  * repository fetches are claimed per content key deployment-wide: only
 ///    one instance pulls a given chunk from the repository at a time,
@@ -249,20 +268,10 @@ class MirrorDevice : public img::BlockDevice {
 ///    distinct popular chunks.
 class PrefetchBus {
  public:
-  struct Config {
-    sim::Duration hint_latency = 300 * sim::kMicrosecond;
-    /// Shaping of peer-to-peer chunk copies (intra-deployment traffic
-    /// class; distinct from repository transfers which run unshaped).
-    net::Fabric::Shape peer_shape{};
-  };
-
-  PrefetchBus(sim::Simulation& sim, const Config& cfg)
+  explicit PrefetchBus(sim::Simulation& sim)
       : sim_(&sim),
-        cfg_(cfg),
         mirrors_(std::make_shared<std::vector<MirrorDevice*>>()),
         repo_waiters_(sim) {}
-  PrefetchBus(sim::Simulation& sim, sim::Duration hint_latency)
-      : PrefetchBus(sim, Config{hint_latency, {}}) {}
 
   void attach(MirrorDevice* m) { mirrors_->push_back(m); }
   void detach(MirrorDevice* m);
@@ -286,19 +295,15 @@ class PrefetchBus {
     announced_.clear();
   }
 
-  struct PeerHit {
-    net::NodeId node;
-    common::Buffer data;  // copied out so holder-side eviction cannot race
-  };
-  /// A peer (different node) whose cache holds the decoded chunk — the
-  /// least-loaded one. Returns nullopt when no holder exists OR every
-  /// holder is already serving kPeerFanout copies: an oversubscribed swarm
-  /// falls through to another repository fetch (idle provider bandwidth)
-  /// instead of funneling the whole deployment through one NIC. The caller
-  /// must bracket the copy with begin/finish accounting (finish via RAII so
-  /// a killed copier never pins a holder's slot).
-  std::optional<PeerHit> find_holder(const ChunkKey& key, net::NodeId self);
-  void finish_peer_copy(const ChunkKey& key, net::NodeId node);
+  /// Copies the decoded chunk from a peer (different node) whose cache
+  /// holds it — the least-loaded one — to `dst` over `fabric` in the peer
+  /// traffic class. Returns nullopt when no holder exists OR every holder
+  /// is already serving kPeerFanout copies: an oversubscribed swarm falls
+  /// through to another repository fetch (idle provider bandwidth) instead
+  /// of funneling the whole deployment through one NIC. The holder's
+  /// fan-out slot frees even if the copier is killed mid-transfer.
+  sim::Task<std::optional<common::Buffer>> copy_from_peer(
+      net::Fabric& fabric, const ChunkKey& key, net::NodeId dst);
 
   /// Concurrent peer copies one holder serves before the swarm grows new
   /// replicas through the repository instead.
@@ -321,8 +326,6 @@ class PrefetchBus {
   /// chunks first, up to `per_instance_budget` logical bytes.
   sim::Task<> schedule_restart_prefetch(std::uint64_t per_instance_budget);
 
-  const net::Fabric::Shape& peer_shape() const { return cfg_.peer_shape; }
-
   std::size_t attached() const { return mirrors_->size(); }
   /// Hint broadcasts (each content key counted once per deployment).
   std::uint64_t hints_sent() const { return hints_sent_; }
@@ -336,9 +339,9 @@ class PrefetchBus {
     DecodedChunkCache* cache;
     int active = 0;  // peer copies currently streaming from this holder
   };
+  void finish_peer_copy(const ChunkKey& key, net::NodeId node);
 
   sim::Simulation* sim_;
-  Config cfg_;
   /// Held behind a shared_ptr so scheduled hint timers can hold a weak
   /// reference: a timer firing after the bus (or a device) is gone checks
   /// liveness instead of dereferencing freed memory.

@@ -329,7 +329,7 @@ Task<ScavengeReport> Session::scavenge() {
       ++rep.unrecoverable;
       continue;
     }
-    common::Buffer stored = encode_for_store(loc, payload->data);
+    common::Buffer stored = encode_for_store(loc, *payload);
     const std::uint64_t stored_bytes = stored.size();
     co_await target->store(
         target->node(), id, std::move(stored),

@@ -13,9 +13,10 @@
 //   fetches -+-> FairGate              at the data-provider pool — QoS   |
 //   repairs  |                         holds when disk is the bottleneck |
 //            |                                                           |
-//   restart  |  [RestartPrefetch gate] one slot per prefetch worker —    |
-//   prefetch-+-> FairGate              a mass rollback queues through    |
-//            |                         the same plane as live commits    |
+//   restart  |  [RestartPrefetch gate] one slot per range while it       |
+//   prefetch-+-> FairGate              fetches, none while queued —      |
+//            |                         a mass rollback shares the plane  |
+//            |                         with live commits                 |
 //            +-----------------------------------------------------------+
 //
 // The gates share one TenantRegistry, so a tenant's weight means the same
@@ -42,7 +43,7 @@ namespace blobcr::qos {
 enum class GateClass {
   Commit,           // synchronous commits and async flush drains
   ProviderIo,       // chunk store/fetch at the data-provider pool
-  RestartPrefetch,  // restart-scheduler prefetch workers
+  RestartPrefetch,  // restart-prefetch ranges (scheduled and hinted)
 };
 
 inline const char* gate_class_name(GateClass g) {
@@ -73,8 +74,11 @@ struct Config {
   /// Concurrent chunk stores/fetches admitted at the data-provider pool.
   /// 0 = gate disabled. Sized like a disk queue depth, not a commit count.
   std::size_t provider_slots = 0;
-  /// Concurrent restart-prefetch workers admitted repository-wide.
-  /// 0 = gate disabled (each device still bounds its own local streams).
+  /// Concurrently fetching restart-prefetch ranges admitted
+  /// repository-wide. A range holds its slot only while it fetches; ranges
+  /// queued on a device (behind its MirrorDevice::kPrefetchStreams
+  /// workers) hold none. 0 = gate disabled (each device still bounds its
+  /// own streams).
   std::size_t prefetch_slots = 0;
 
   std::size_t slots(GateClass g) const {

@@ -3,6 +3,7 @@
 // checkpointing proxy.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <vector>
 
@@ -260,7 +261,7 @@ TEST(MirrorTest, RestartedMirrorCommitsIntoBackingImage) {
 TEST(MirrorTest, PrefetchBusPushesToPeers) {
   TestRig rig;
   rig.make_base();
-  PrefetchBus bus(rig.sim, 200 * sim::kMicrosecond);
+  PrefetchBus bus(rig.sim);
   auto m1 = rig.make_mirror(rig.host_a, &bus);
   auto m2 = rig.make_mirror(rig.host_b, &bus);
   EXPECT_EQ(bus.attached(), 2u);
@@ -277,7 +278,7 @@ TEST(MirrorTest, PrefetchBusPushesToPeers) {
 TEST(MirrorTest, PrefetchBusAnnouncesOnlyUncoveredGaps) {
   TestRig rig;
   rig.make_base();
-  PrefetchBus bus(rig.sim, 200 * sim::kMicrosecond);
+  PrefetchBus bus(rig.sim);
   auto m1 = rig.make_mirror(rig.host_a, &bus);
   auto m2 = rig.make_mirror(rig.host_b, &bus);
   rig.run([](TestRig* r, MirrorDevice* a) -> Task<> {
@@ -341,7 +342,7 @@ TEST(MirrorTest, ReducedCommitShipsLessAndRoundTrips) {
 TEST(MirrorTest, PrefetchedReadIsFasterThanCold) {
   TestRig rig;
   rig.make_base();
-  PrefetchBus bus(rig.sim, 200 * sim::kMicrosecond);
+  PrefetchBus bus(rig.sim);
   auto m1 = rig.make_mirror(rig.host_a, &bus);
   auto m2 = rig.make_mirror(rig.host_b, &bus);
   sim::Duration cold = 0;
@@ -357,6 +358,54 @@ TEST(MirrorTest, PrefetchedReadIsFasterThanCold) {
     warm_out = r->sim.now() - t1;
   }(&rig, m1.get(), m2.get(), cold, warm));
   EXPECT_LT(warm, cold);
+}
+
+TEST(MirrorTest, HintedRangesShareBoundedWorkersInHintOrder) {
+  TestRig rig;
+  rig.make_base();
+  auto mirror = rig.make_mirror(rig.host_a);
+  constexpr std::uint64_t kRanges = kImage / kChunk;
+  // Hint every chunk, in an order that is not address order.
+  std::vector<std::uint64_t> order;
+  for (std::uint64_t i = 0; i < kRanges; ++i) order.push_back(i * 7 % kRanges);
+  for (const std::uint64_t c : order) mirror->hint(c * kChunk, kChunk);
+
+  std::size_t max_workers = 0;
+  std::vector<Time> done(kRanges, 0);
+  rig.run([](TestRig* r, MirrorDevice* m,
+             const std::vector<std::uint64_t>* order,
+             std::size_t* max_workers, std::vector<Time>* done) -> Task<> {
+    std::size_t completed = 0;
+    while (completed < order->size()) {
+      std::size_t workers = 0;
+      for (const auto& p : r->sim.debug_processes()) {
+        if (p->name() == "prefetch" && !p->finished()) ++workers;
+      }
+      *max_workers = std::max(*max_workers, workers);
+      for (std::size_t k = 0; k < order->size(); ++k) {
+        if ((*done)[k] == 0 && m->is_local((*order)[k] * kChunk, kChunk)) {
+          (*done)[k] = r->sim.now();
+          ++completed;
+        }
+      }
+      co_await r->sim.delay(50 * sim::kMicrosecond);
+    }
+  }(&rig, mirror.get(), &order, &max_workers, &done));
+
+  EXPECT_GE(max_workers, 1u);
+  EXPECT_LE(max_workers, MirrorDevice::kPrefetchStreams)
+      << "one process per hinted range instead of a bounded worker pool";
+  // FIFO over a pool of streams: a range starts only once every earlier
+  // range has started and all but the other streams' have finished, so it
+  // can overtake at most kPrefetchStreams - 1 earlier ranges.
+  for (std::size_t k = 0; k < done.size(); ++k) {
+    std::size_t overtaken = 0;
+    for (std::size_t j = 0; j < k; ++j) overtaken += done[j] > done[k];
+    EXPECT_LT(overtaken, MirrorDevice::kPrefetchStreams)
+        << "range " << k << " of the hint order completed out of turn";
+  }
+  EXPECT_EQ(mirror->locally_available_bytes(), kImage);
+  EXPECT_EQ(mirror->remote_bytes_fetched(), kImage);
 }
 
 TEST(ProxyTest, PausesVmDuringSnapshot) {

@@ -2,9 +2,11 @@
 // the unified qos::Config validates as a unit; the provider-io gate holds weighted fairness when the
 // data-provider pool (not the commit gate) is the bottleneck; admission is
 // kill-safe at every gate class; a mass-rollback storm and live commits
-// share the plane without starving each other in either direction; and
-// restart-prefetch workers killed at deployment teardown release their
-// admission permits (the leak that would wedge the next restart).
+// share the plane without starving each other in either direction; a
+// device's queued prefetch ranges hold no gate permit, so its backlog never
+// crowds another tenant's prefetch out of the gate; and restart-prefetch
+// workers killed at deployment teardown release their admission permits
+// (the leak that would wedge the next restart).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -290,6 +292,107 @@ TEST(QosStormTest, RollbackStormAndLiveCommitsFinishInBothDirections) {
       EXPECT_EQ(plane.gate(gc).pending(), 0u) << qos::gate_class_name(gc);
     }
   }
+}
+
+// ---------------------------------------------------------------------------
+// A device's queued prefetch ranges hold no restart-prefetch permit: only
+// the ranges its kPrefetchStreams streams are fetching reach the gate, so a
+// deep backlog on one device neither floods the gate's queue nor keeps
+// another tenant's device waiting until the backlog drains.
+// ---------------------------------------------------------------------------
+
+TEST(QosPrefetchQueueTest, QueuedRangesHoldNoGatePermits) {
+  constexpr std::uint64_t kChunk = 4096;
+  constexpr std::uint64_t kRanges = 64;
+  constexpr std::uint64_t kImage = kRanges * kChunk;
+  sim::Simulation sim;
+  net::Fabric::Config fcfg;
+  fcfg.node_count = 8;  // vm, pm, meta x2, data x2, two hosts
+  fcfg.nic_bandwidth_bps = 100e6;
+  fcfg.latency = 100 * sim::kMicrosecond;
+  net::Fabric fabric(sim, fcfg);
+  storage::Disk::Config dcfg;
+  dcfg.bandwidth_bps = 1e9;
+  dcfg.position_cost = sim::kMillisecond;
+  std::vector<std::unique_ptr<storage::Disk>> disks;
+  for (int i = 0; i < 4; ++i) {
+    disks.push_back(std::make_unique<storage::Disk>(sim, "disk", dcfg));
+  }
+  blob::BlobStore::Config cfg;
+  cfg.version_manager_node = 0;
+  cfg.provider_manager_node = 1;
+  cfg.metadata_nodes = {2, 3};
+  cfg.data_providers = {{4, disks[0].get(), 1}, {5, disks[1].get(), 1}};
+  cfg.default_chunk_size = kChunk;
+  cfg.qos.enabled = true;
+  cfg.qos.prefetch_slots = 1;
+  blob::BlobStore store(sim, fabric, cfg);
+  const net::TenantId bulk = store.tenants().register_tenant("bulk");
+  const net::TenantId small = store.tenants().register_tenant("small");
+
+  blob::BlobId base = 0;
+  sim.spawn("base", [](blob::BlobStore* st, blob::BlobId* out) -> Task<> {
+    blob::BlobClient client(*st, 6);
+    *out = co_await client.create(kChunk);
+    co_await client.write(*out, 0, Buffer::pattern(kImage, 7));
+  }(&store, &base));
+  sim.run();
+
+  core::MirrorDevice::Config mcfg;
+  mcfg.capacity = kImage;
+  mcfg.tenant = bulk;
+  core::MirrorDevice a(store, 6, *disks[2], 1, base, 1, mcfg);
+  mcfg.tenant = small;
+  core::MirrorDevice b(store, 7, *disks[3], 1, base, 1, mcfg);
+
+  std::vector<std::pair<std::uint64_t, std::uint64_t>> ranges;
+  for (std::uint64_t i = 0; i < kRanges; ++i) {
+    ranges.emplace_back(i * kChunk, (i + 1) * kChunk);
+  }
+  a.start_scheduled_prefetch(std::move(ranges));
+
+  const net::FairGate& gate =
+      store.admission().gate(qos::GateClass::RestartPrefetch);
+  // The monitor samples the gate while the backlog drains: alone until the
+  // second tenant's single range arrives, then next to it.
+  constexpr sim::Duration kSmallArrives = 10 * sim::kMillisecond;
+  std::size_t max_alone = 0;
+  std::size_t max_shared = 0;
+  sim::Time small_done = 0;
+  sim::Time bulk_done = 0;
+  sim.spawn("monitor", [](sim::Simulation* s, const net::FairGate* g,
+                          core::MirrorDevice* a, core::MirrorDevice* b,
+                          std::size_t* max_alone, std::size_t* max_shared,
+                          sim::Time* small_done,
+                          sim::Time* bulk_done) -> Task<> {
+    bool hinted = false;
+    while (*small_done == 0 || *bulk_done == 0) {
+      if (!hinted && s->now() >= kSmallArrives) {
+        b->hint(0, kChunk);
+        hinted = true;
+      }
+      if (*bulk_done == 0) {
+        std::size_t& max = hinted ? *max_shared : *max_alone;
+        max = std::max(max, g->in_use() + g->pending());
+      }
+      if (*small_done == 0 && b->is_local(0, kChunk)) *small_done = s->now();
+      if (*bulk_done == 0 && a->is_local(0, kImage)) *bulk_done = s->now();
+      co_await s->delay(50 * sim::kMicrosecond);
+    }
+  }(&sim, &gate, &a, &b, &max_alone, &max_shared, &small_done, &bulk_done));
+  sim.run();
+
+  EXPECT_GE(max_alone, 1u);
+  EXPECT_LE(max_alone, core::MirrorDevice::kPrefetchStreams)
+      << "queued prefetch ranges are holding or waiting for gate permits";
+  EXPECT_LE(max_shared, core::MirrorDevice::kPrefetchStreams + 1);
+  EXPECT_GT(small_done, kSmallArrives);
+  EXPECT_LT(small_done, bulk_done)
+      << "the second tenant waited for the first device's queue to drain";
+  EXPECT_EQ(gate.admitted(bulk), kRanges);
+  EXPECT_EQ(gate.admitted(small), 1u);
+  EXPECT_EQ(gate.in_use(), 0u);
+  EXPECT_EQ(gate.pending(), 0u);
 }
 
 // ---------------------------------------------------------------------------
