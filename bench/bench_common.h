@@ -9,9 +9,6 @@
 #include <benchmark/benchmark.h>
 
 #include <cstdlib>
-#include <map>
-#include <memory>
-#include <string>
 #include <vector>
 
 #include "apps/scenarios.h"
@@ -70,7 +67,9 @@ inline std::vector<std::size_t> cm1_vm_sweep() {
 
 /// The graphene testbed (§4.1): 120 compute nodes, 55 MB/s SATA disks,
 /// 117.5 MB/s GbE at 0.1 ms, 2 GB Debian image, 256 KB BlobSeer stripes,
-/// 20 metadata providers.
+/// 20 metadata providers. Every bench point builds its own cloud from this
+/// (and provisions its base image once), so a point's result depends only
+/// on its own parameters, never on which points ran before it.
 inline core::CloudConfig paper_cloud(Backend backend,
                                      std::uint64_t process_overhead =
                                          2 * common::kMB) {
@@ -83,32 +82,6 @@ inline core::CloudConfig paper_cloud(Backend backend,
   cfg.vm.process_overhead_bytes = process_overhead;
   return cfg;
 }
-
-/// Cloud cache: reuse one provisioned cloud per (backend, tag) so a sweep
-/// pays image upload once.
-class CloudCache {
- public:
-  core::Cloud& get(Backend backend, const std::string& tag,
-                   std::uint64_t process_overhead = 2 * common::kMB) {
-    const std::string key = std::string(core::backend_name(backend)) + "/" + tag;
-    auto it = clouds_.find(key);
-    if (it == clouds_.end()) {
-      it = clouds_
-               .emplace(key, std::make_unique<core::Cloud>(
-                                 paper_cloud(backend, process_overhead)))
-               .first;
-    }
-    return *it->second;
-  }
-
-  static CloudCache& instance() {
-    static CloudCache cache;
-    return cache;
-  }
-
- private:
-  std::map<std::string, std::unique_ptr<core::Cloud>> clouds_;
-};
 
 /// Reports a simulated duration as the benchmark's manual time.
 inline void report_seconds(benchmark::State& state, sim::Duration d) {

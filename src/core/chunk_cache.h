@@ -1,12 +1,15 @@
 // DecodedChunkCache: the per-compute-node cache of *decoded* snapshot
 // chunks that backs the content-addressed restart data plane.
 //
-// Every mirroring module on a node shares one cache, so a chunk fetched
-// from the repository (or copied from a peer) is decoded once per node —
-// not once per rank — and every later rank on the node materializes it with
-// a memory copy instead of any transfer. The deployment-wide PrefetchBus
-// records which nodes' caches hold which content, turning one instance's
-// fetch into a cheap intra-deployment peer copy for everyone else.
+// Every mirroring module on a node shares one cache (a device cannot be
+// built without it), so a chunk fetched from the repository (or copied from
+// a peer) is decoded once per node — not once per rank — and every later
+// rank on the node materializes it with a memory copy instead of any
+// transfer. The deployment-wide PrefetchBus is the one record of which
+// nodes' caches hold which content: restart fetches, peer copies and the
+// parity tier's commit-time seeding (redundancy::Manager::encode_commit)
+// all publish there, turning one instance's fetch or commit into a cheap
+// intra-deployment peer copy for everyone else.
 //
 // Keys are content identities, not storage identities: a chunk that carries
 // a real content digest (reduction pipeline) is keyed on (digest, logical

@@ -585,8 +585,9 @@ std::unique_ptr<MirrorDevice> Deployment::make_mirror(
   mcfg.federation = cloud.federation();
   return std::make_unique<MirrorDevice>(
       store, node, cloud.disk(node), cloud.next_disk_stream(node), image,
-      version, mcfg, cloud.config().adaptive_prefetch ? bus_.get() : nullptr,
-      reducer_for_store(&store), cloud.chunk_cache(node));
+      version, mcfg, *cloud.chunk_cache(node),
+      cloud.config().adaptive_prefetch ? bus_.get() : nullptr,
+      reducer_for_store(&store));
 }
 
 sim::Task<> Deployment::open_volume(Volume& vol, InstanceSnapshot& snap,
@@ -785,20 +786,6 @@ sim::Task<std::optional<common::Buffer>> Deployment::recover_chunk_payload(
   if (redundancy::Manager* mgr = cloud_->redundancy()) {
     if (auto rebuilt = co_await mgr->rebuild(key, dst)) {
       co_return std::move(rebuilt);
-    }
-  }
-  // Last resort: scan the attached caches directly — content can be
-  // resident on a node that never published to the bus (e.g. seeded by the
-  // parity encode path on a deployment without adaptive prefetch).
-  for (const auto& inst : instances_) {
-    if (!inst || inst->failed || !inst->mirror) continue;
-    DecodedChunkCache* cache = cloud_->chunk_cache(inst->node);
-    if (cache == nullptr) continue;
-    if (const common::Buffer* hit = cache->get(key)) {
-      common::Buffer data = *hit;
-      co_await cloud_->fabric().transfer(inst->node, dst, data.size(),
-                                         kPeerShape);
-      co_return std::move(data);
     }
   }
   co_return std::nullopt;

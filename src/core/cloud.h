@@ -458,7 +458,8 @@ class Deployment {
 
   /// Scavenge support (cr::Session::scavenge): best-effort recovery of one
   /// chunk's decoded payload from the peer tier — a surviving node's cache
-  /// copy first, a parity-group rebuild second — delivered to `dst`.
+  /// copy published on this deployment's bus first, a parity-group rebuild
+  /// second — delivered to `dst`.
   /// Returns nullopt when the tier cannot produce it.
   sim::Task<std::optional<common::Buffer>> recover_chunk_payload(
       const ChunkKey& key, net::NodeId dst);

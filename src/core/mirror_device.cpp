@@ -11,19 +11,13 @@
 
 namespace blobcr::core {
 
-namespace {
-/// Byte budget of the private fallback cache for standalone devices (the
-/// Cloud sizes shared per-node caches from CloudConfig instead).
-constexpr std::uint64_t kFallbackCacheBytes = 512ULL * 1024 * 1024;
-}  // namespace
-
 MirrorDevice::MirrorDevice(blob::BlobStore& store, net::NodeId host,
                            storage::Disk& local_disk,
                            std::uint64_t disk_stream,
                            blob::BlobId backing_blob,
                            blob::VersionId backing_version, const Config& cfg,
-                           PrefetchBus* bus, blob::CommitReducer* reducer,
-                           DecodedChunkCache* node_cache)
+                           DecodedChunkCache& node_cache, PrefetchBus* bus,
+                           blob::CommitReducer* reducer)
     : store_(&store),
       host_(host),
       disk_(&local_disk),
@@ -35,16 +29,16 @@ MirrorDevice::MirrorDevice(blob::BlobStore& store, net::NodeId host,
       reducer_(reducer),
       client_(store, host),
       fetch_done_(store.simulation()),
-      node_cache_(node_cache) {
+      node_cache_(&node_cache) {
   assert(cfg_.capacity > 0);
   client_.set_tenant(cfg_.tenant);
   if (bus_ != nullptr) bus_->attach(this);
   if (cfg_.redundancy != nullptr)
-    cfg_.redundancy->attach(host_, &this->node_cache());
+    cfg_.redundancy->attach(host_, node_cache_);
   if (cfg_.flush.enabled) {
     flush_agent_ = std::make_unique<flush::FlushAgent>(
         store, client_, local_disk, disk_stream, reducer_, cfg_.flush,
-        cfg_.redundancy, cfg_.federation);
+        cfg_.redundancy, bus_, cfg_.federation);
   }
 }
 
@@ -53,18 +47,6 @@ MirrorDevice::~MirrorDevice() {
     if (p && !p->finished()) p->kill();
   }
   if (bus_ != nullptr) bus_->detach(this);
-  // A privately-owned cache dies with the device; the parity tier must not
-  // keep serving rebuilds out of it (shared Cloud caches stay registered).
-  if (cfg_.redundancy != nullptr && own_cache_ != nullptr)
-    cfg_.redundancy->detach_cache(own_cache_.get());
-}
-
-DecodedChunkCache& MirrorDevice::node_cache() {
-  if (node_cache_ == nullptr) {
-    own_cache_ = std::make_unique<DecodedChunkCache>(kFallbackCacheBytes);
-    node_cache_ = own_cache_.get();
-  }
-  return *node_cache_;
 }
 
 std::uint64_t MirrorDevice::chunk_size() const {
@@ -133,12 +115,14 @@ sim::Task<> MirrorDevice::materialize_chunk(std::uint64_t clo,
     bool peer_sourced = false;
     for (;;) {
       // 1. Decoded once per node: any rank on this node already paid.
-      if (const common::Buffer* hit = node_cache().get(key)) {
+      if (const common::Buffer* hit = node_cache_->get(key)) {
         data = *hit;
         cache_hit_bytes_ += data.size();
         break;
       }
-      // 2. Peer copy: intra-deployment transfer instead of the repo.
+      // 2. Peer copy: intra-deployment transfer instead of the repo. The
+      //    bus knows every cached copy, including the ones the parity
+      //    tier seeded at commit time.
       if (bus_ != nullptr) {
         if (auto copied =
                 co_await bus_->copy_from_peer(store_->fabric(), key, host_)) {
@@ -148,20 +132,11 @@ sim::Task<> MirrorDevice::materialize_chunk(std::uint64_t clo,
           break;
         }
       }
-      // 3. Redundancy tier (SCR-style, cloud-scoped so it survives a
-      //    rollback onto a fresh deployment): first a direct copy out of a
-      //    registered node cache the (deployment-scoped) bus does not know
-      //    about, then a parity-group rebuild — the lost member recomputed
-      //    as the XOR of the surviving members' cached payloads and the
-      //    parity block. Fabric traffic only; the repository is not touched.
+      // 3. Redundancy tier (SCR-style): a parity-group rebuild — the lost
+      //    member recomputed as the XOR of the surviving members' cached
+      //    payloads and the parity block. Fabric traffic only; the
+      //    repository is not touched.
       if (cfg_.redundancy != nullptr) {
-        if (auto resident = co_await cfg_.redundancy->fetch_resident(key,
-                                                                     host_)) {
-          peer_bytes_fetched_ += resident->size();
-          data = std::move(*resident);
-          peer_sourced = true;
-          break;
-        }
         if (auto rebuilt = co_await cfg_.redundancy->rebuild(key, host_)) {
           parity_bytes_rebuilt_ += rebuilt->size();
           data = std::move(*rebuilt);
@@ -201,8 +176,8 @@ sim::Task<> MirrorDevice::materialize_chunk(std::uint64_t clo,
         repo_wire_fetched_ += loc->size;
         repo_logical_fetched_ += data.size();
         if (data.size() < len) data.resize(len);  // version tail: zeros
-        node_cache().put(key, data);
-        if (bus_ != nullptr) bus_->publish(key, host_, &node_cache());
+        node_cache_->put(key, data);
+        if (bus_ != nullptr) bus_->publish(key, host_, node_cache_);
         // Release only after publishing, so woken waiters find a holder.
         claim.release();
         break;
@@ -214,8 +189,8 @@ sim::Task<> MirrorDevice::materialize_chunk(std::uint64_t clo,
     // still needs to enter this node's cache and holder registry.
     if (peer_sourced) {
       if (data.size() < len) data.resize(len);
-      node_cache().put(key, data);
-      if (bus_ != nullptr) bus_->publish(key, host_, &node_cache());
+      node_cache_->put(key, data);
+      if (bus_ != nullptr) bus_->publish(key, host_, node_cache_);
     }
     // Cached copies were padded by whoever produced them, but devices can
     // differ in capacity clamp — pad locally, without re-entering the cache.
@@ -468,21 +443,6 @@ void MirrorDevice::start_scheduled_prefetch(
 }
 
 // --- PrefetchBus -------------------------------------------------------------
-
-void PrefetchBus::detach(MirrorDevice* m) {
-  std::erase(*mirrors_, m);
-  if (m->own_cache_ != nullptr) {
-    // The device's private fallback cache dies with it; holder entries
-    // pointing at it must not dangle. Shared per-node caches are owned by
-    // the Cloud and outlive any device, so they stay registered.
-    DecodedChunkCache* dead = m->own_cache_.get();
-    for (auto it = holders_.begin(); it != holders_.end();) {
-      auto& vec = it->second;
-      std::erase_if(vec, [dead](const Holder& h) { return h.cache == dead; });
-      it = vec.empty() ? holders_.erase(it) : std::next(it);
-    }
-  }
-}
 
 void PrefetchBus::announce(MirrorDevice* self, const ChunkKey& key,
                            std::uint64_t offset, std::uint64_t len) {

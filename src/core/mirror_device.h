@@ -79,12 +79,15 @@ class MirrorDevice : public img::BlockDevice {
   /// ranges hold none.
   static constexpr std::size_t kPrefetchStreams = 2;
 
+  /// `node_cache` is the decoded-chunk cache of the compute node `host`,
+  /// shared with every other device on that node; it must outlive the
+  /// device.
   MirrorDevice(blob::BlobStore& store, net::NodeId host,
                storage::Disk& local_disk, std::uint64_t disk_stream,
                blob::BlobId backing_blob, blob::VersionId backing_version,
-               const Config& cfg, PrefetchBus* bus = nullptr,
-               blob::CommitReducer* reducer = nullptr,
-               DecodedChunkCache* node_cache = nullptr);
+               const Config& cfg, DecodedChunkCache& node_cache,
+               PrefetchBus* bus = nullptr,
+               blob::CommitReducer* reducer = nullptr);
   ~MirrorDevice() override;
 
   // --- BlockDevice ---
@@ -184,9 +187,9 @@ class MirrorDevice : public img::BlockDevice {
   std::uint64_t chunk_size() const;
   /// Materializes the chunk-aligned gaps of [begin, end) into the local
   /// cache, chunk by chunk: Zero holes locally, then the node's decoded
-  /// cache, then a peer copy, then a parity-group rebuild (redundancy
-  /// tier), then (last) a repository fetch. Announces on-demand chunks to
-  /// the bus.
+  /// cache, then a peer copy through the bus, then a parity-group rebuild
+  /// (redundancy tier), then (last) a repository fetch. Announces on-demand
+  /// chunks to the bus.
   sim::Task<> ensure_available(std::uint64_t begin, std::uint64_t end,
                                bool announce);
   /// One chunk of ensure_available (the [clo, chi) range); `loc` is the
@@ -199,7 +202,6 @@ class MirrorDevice : public img::BlockDevice {
   /// One stream: pops ranges in FIFO order and fetches each under a
   /// restart-prefetch gate permit; returns once the queue is empty.
   sim::Task<> prefetch_worker();
-  DecodedChunkCache& node_cache();
 
   blob::BlobStore* store_;
   net::NodeId host_;
@@ -230,10 +232,7 @@ class MirrorDevice : public img::BlockDevice {
   std::uint64_t last_commit_shipped_ = 0;
   std::deque<std::pair<std::uint64_t, std::uint64_t>> prefetch_queue_;
   std::array<sim::ProcessPtr, kPrefetchStreams> prefetch_workers_;
-  /// Shared per-node cache (owned by the Cloud) or, when none was supplied
-  /// (standalone devices in tests), a private fallback.
-  DecodedChunkCache* node_cache_;
-  std::unique_ptr<DecodedChunkCache> own_cache_;
+  DecodedChunkCache* node_cache_;  // shared by every device on host_
   // Declared after client_/cache_: the agent's drain loop references both
   // and must be torn down (killed) first.
   std::unique_ptr<flush::FlushAgent> flush_agent_;
@@ -274,7 +273,7 @@ class PrefetchBus {
         repo_waiters_(sim) {}
 
   void attach(MirrorDevice* m) { mirrors_->push_back(m); }
-  void detach(MirrorDevice* m);
+  void detach(MirrorDevice* m) { std::erase(*mirrors_, m); }
 
   /// A demand fetch of `key` (living at [offset, offset+len) of the
   /// announcing instance's image) — peers prefetch the same range from
@@ -283,7 +282,9 @@ class PrefetchBus {
   void announce(MirrorDevice* self, const ChunkKey& key, std::uint64_t offset,
                 std::uint64_t len);
 
-  /// Registers `node`'s cache as holding the decoded chunk.
+  /// Registers `node`'s cache as holding the decoded chunk: restart
+  /// fetches and peer copies, and the parity tier's commit-time seeding
+  /// (redundancy::Manager::encode_commit).
   void publish(const ChunkKey& key, net::NodeId node,
                DecodedChunkCache* cache);
   /// Drops every holder entry on `node` (fail-stop: its cache is gone).

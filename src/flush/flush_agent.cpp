@@ -13,13 +13,14 @@ FlushAgent::FlushAgent(blob::BlobStore& store, blob::BlobClient& client,
                        storage::Disk& disk, std::uint64_t disk_stream,
                        blob::CommitReducer* reducer, const FlushConfig& cfg,
                        redundancy::Manager* redundancy,
-                       federation::Fabric* federation)
+                       core::PrefetchBus* bus, federation::Fabric* federation)
     : store_(&store),
       client_(&client),
       disk_(&disk),
       stream_(disk_stream),
       reducer_(reducer),
       redundancy_(redundancy),
+      bus_(bus),
       fed_(federation),
       cfg_(cfg),
       work_wq_(store.simulation()),
@@ -192,7 +193,8 @@ sim::Task<> FlushAgent::drain_one(StagedCommit c) {
             c.data.read(off, ref.loc.logical())});
       }
     }
-    co_await redundancy_->encode_commit(client_->node(), std::move(protect));
+    co_await redundancy_->encode_commit(client_->node(), std::move(protect),
+                                        bus_);
   }
 
   // Cross-zone replication: the published version's manifest ships to every

@@ -34,6 +34,9 @@
 #include "sim/sim.h"
 #include "storage/disk.h"
 
+namespace blobcr::core {
+class PrefetchBus;
+}
 namespace blobcr::federation {
 class Fabric;
 }
@@ -44,13 +47,17 @@ class FlushAgent {
  public:
   /// `redundancy` (optional): after each drain publishes, its committed
   /// chunks fold into the deployment's peer parity tier — the
-  /// CommitStage::ParityEncode boundary. `federation` (optional): after
+  /// CommitStage::ParityEncode boundary. `bus` (optional): the prefetch bus
+  /// the agent's mirror was built with; the decoded copies the parity
+  /// encode seeds into this node's cache are published there, so restarts
+  /// find them as peer copies. `federation` (optional): after
   /// parity encode, the published version's manifest and hot chunks
   /// replicate asynchronously to sibling zones — CommitStage::Replicate.
   FlushAgent(blob::BlobStore& store, blob::BlobClient& client,
              storage::Disk& disk, std::uint64_t disk_stream,
              blob::CommitReducer* reducer, const FlushConfig& cfg,
              redundancy::Manager* redundancy = nullptr,
+             core::PrefetchBus* bus = nullptr,
              federation::Fabric* federation = nullptr);
   ~FlushAgent();
 
@@ -102,6 +109,7 @@ class FlushAgent {
   std::uint64_t stream_;
   blob::CommitReducer* reducer_;
   redundancy::Manager* redundancy_;
+  core::PrefetchBus* bus_;
   federation::Fabric* fed_;
   FlushConfig cfg_;
   blob::CommitProbe probe_;

@@ -3,31 +3,14 @@
 #include <algorithm>
 #include <utility>
 
+#include "core/mirror_device.h"
+
 namespace blobcr::redundancy {
 
 void Manager::attach(net::NodeId node, core::DecodedChunkCache* cache) {
   if (cache == nullptr) return;
   if (caches_.find(node) == caches_.end()) nodes_.push_back(node);
   caches_[node] = cache;
-}
-
-void Manager::detach_cache(const core::DecodedChunkCache* cache) {
-  std::vector<net::NodeId> gone;
-  for (const auto& [node, c] : caches_) {
-    if (c == cache) gone.push_back(node);
-  }
-  for (net::NodeId node : gone) {
-    caches_.erase(node);
-    std::erase(nodes_, node);
-    std::vector<std::uint64_t> doomed;
-    for (std::uint64_t gid : open_) {
-      if (group_has_node(groups_.at(gid), node)) doomed.push_back(gid);
-    }
-    for (std::uint64_t gid : doomed) drop_group(gid);
-  }
-  // nodes_ shrank under the round-robin cursor: renormalize so holder
-  // picking keeps cycling evenly instead of skipping the front nodes.
-  holder_rr_ = nodes_.empty() ? 0 : holder_rr_ % nodes_.size();
 }
 
 void Manager::drop_node(net::NodeId node) {
@@ -98,14 +81,18 @@ Manager::Group* Manager::pick_group(net::NodeId node) {
 }
 
 sim::Task<> Manager::encode_commit(net::NodeId node,
-                                   std::vector<ChunkPayload> chunks) {
+                                   std::vector<ChunkPayload> chunks,
+                                   core::PrefetchBus* bus) {
   if (!cfg_.enabled) co_return;
   for (ChunkPayload& cp : chunks) {
     if (cp.data.empty()) continue;
     // The committing node's resident copy is a tier asset regardless of
-    // group membership: rebuilds of other members read it later.
-    if (core::DecodedChunkCache* own = cache_for(node))
+    // group membership: rebuilds of other members read it later, and the
+    // bus offers it to restarting peers.
+    if (core::DecodedChunkCache* own = cache_for(node)) {
       own->put(cp.key, cp.data);
+      if (bus != nullptr) bus->publish(cp.key, node, own);
+    }
     if (member_gid_.find(cp.key) != member_gid_.end()) continue;
     Group* g = pick_group(node);
     if (g == nullptr) continue;
@@ -233,25 +220,6 @@ sim::Task<std::optional<common::Buffer>> Manager::rebuild(core::ChunkKey key,
   ++stats_.rebuilds;
   stats_.rebuild_bytes += out.size();
   co_return out;
-}
-
-sim::Task<std::optional<common::Buffer>> Manager::fetch_resident(
-    core::ChunkKey key, net::NodeId dst) {
-  if (!cfg_.enabled) co_return std::nullopt;
-  for (net::NodeId node : nodes_) {
-    if (node == dst) continue;
-    core::DecodedChunkCache* c = cache_for(node);
-    if (c == nullptr) continue;
-    const common::Buffer* hit = c->get(key);
-    if (hit == nullptr) continue;
-    // Snapshot before suspending — the cache mutates while transfers run.
-    common::Buffer data = *hit;
-    co_await fabric_->transfer(node, dst, data.size(), shape_);
-    ++stats_.resident_serves;
-    stats_.resident_bytes += data.size();
-    co_return data;
-  }
-  co_return std::nullopt;
 }
 
 void Manager::drop_group(std::uint64_t gid) {

@@ -17,6 +17,11 @@
 // field tagged 2 — disjoint from both digest keys (odd b) and ChunkId keys
 // (b == 0)).
 //
+// The committing node's cache also keeps the decoded copy of every chunk it
+// commits, and that copy is published on the committing mirror's
+// PrefetchBus: restarts and scavenge reach it as an ordinary bus peer copy
+// (least-loaded holder, kPeerFanout cap), not through this tier.
+//
 // Restart path: MirrorDevice::materialize_chunk consults rebuild() between
 // the peer-copy and repository-fetch levels. A lost member is recomputed as
 // the XOR of the surviving members' cached payloads and the parity block,
@@ -24,8 +29,9 @@
 // touched. One parity block per group tolerates exactly one lost member: a
 // second loss (or a lost parity block) falls through to the repository.
 //
-// Scavenge: cr::Session::scavenge() re-seeds a lost repository from this
-// tier — survivors' cached copies first, parity rebuild second.
+// Scavenge: cr::Session::scavenge() re-seeds a lost repository from the
+// survivors' cached copies (bus peer copies) first and from a parity
+// rebuild second (Deployment::recover_chunk_payload).
 //
 // Kill-safety contract (the flush crash harness kills drains at stage
 // boundaries, unwinding coroutine frames mid-encode): group state mutates
@@ -48,6 +54,10 @@
 #include "redundancy/parity.h"
 #include "sim/sim.h"
 
+namespace blobcr::core {
+class PrefetchBus;
+}
+
 namespace blobcr::redundancy {
 
 class Manager {
@@ -69,8 +79,10 @@ class Manager {
     std::uint64_t rebuilds = 0;
     std::uint64_t rebuild_bytes = 0;   // reconstructed payload bytes
     std::uint64_t rebuild_failures = 0;  // fell through to the repository
-    std::uint64_t resident_serves = 0;   // direct copies out of tier caches
-    std::uint64_t resident_bytes = 0;
+    /// Always 0: cached copies are served as bus peer copies, not by the
+    /// tier. Kept only because the repository benchmark reports it as
+    /// `redundancy.resident_serves`.
+    std::uint64_t resident_serves = 0;
   };
 
   Manager(sim::Simulation& sim, net::Fabric& fabric,
@@ -93,11 +105,6 @@ class Manager {
   /// Registers a compute node's decoded-chunk cache with the tier.
   /// Idempotent per node; a re-attach replaces the cache pointer.
   void attach(net::NodeId node, core::DecodedChunkCache* cache);
-  /// Deregisters every node whose registered cache is `cache` (a mirroring
-  /// module tearing down its privately-owned cache). Open groups touching
-  /// those nodes are dropped; sealed groups survive and simply find the
-  /// node's payloads missing at rebuild time.
-  void detach_cache(const core::DecodedChunkCache* cache);
   /// Fail-stop: the node's cache contents are gone (cleared by the caller).
   /// Open groups touching the node are dropped. Sealed groups where the
   /// node is a *member* are kept — rebuilding the dead node's members is
@@ -116,9 +123,11 @@ class Manager {
   /// Folds `node`'s freshly committed chunks into parity groups (see file
   /// comment). Also seeds the committing node's own cache with the decoded
   /// payloads — that resident copy is what rebuilds of *other* members of
-  /// the group will read later. No-op when disabled or < 2 nodes attached.
-  sim::Task<> encode_commit(net::NodeId node,
-                            std::vector<ChunkPayload> chunks);
+  /// the group will read later — and publishes each seeded copy on `bus`
+  /// (the committing mirror's; nullptr publishes nothing). Seeding happens
+  /// whenever the tier is enabled; grouping needs >= 2 attached nodes.
+  sim::Task<> encode_commit(net::NodeId node, std::vector<ChunkPayload> chunks,
+                            core::PrefetchBus* bus = nullptr);
 
   /// Seals every partially-filled open group (checkpoint boundary: a
   /// narrower group still protects its members). Safe to call repeatedly.
@@ -136,15 +145,6 @@ class Manager {
   /// through to the repository.
   sim::Task<std::optional<common::Buffer>> rebuild(core::ChunkKey key,
                                                    net::NodeId dst);
-
-  /// Direct peer copy out of the tier's resident copies: the first attached
-  /// node cache (attach order, deterministic) holding `key` ships it to
-  /// `dst` over the peer class. The tier, like the repository, outlives a
-  /// single deployment — this level serves a rollback onto a fresh
-  /// Deployment whose prefetch bus has no holder registry yet, out of the
-  /// previous deployment's surviving node caches. nullopt on a miss.
-  sim::Task<std::optional<common::Buffer>> fetch_resident(core::ChunkKey key,
-                                                          net::NodeId dst);
 
   // --- GC -------------------------------------------------------------------
 

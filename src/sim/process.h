@@ -83,7 +83,6 @@ class Process : public std::enable_shared_from_this<Process> {
   State state_ = State::Running;
   std::exception_ptr error_;
   Blocker* blocker_ = nullptr;
-  Process* parent_ = nullptr;
   std::vector<std::weak_ptr<Process>> children_;
   // Joiners are woken via scheduled events; see JoinAwaiter.
   struct Joiner;

@@ -100,17 +100,10 @@ std::size_t Simulation::live_process_count() const {
   return n;
 }
 
-void Simulation::reap_finished() {
-  std::erase_if(processes_, [](const ProcessPtr& p) {
-    return !p || p->finished();
-  });
-}
-
 ProcessPtr Simulation::spawn(std::string name, Task<> body) {
   assert(body.valid());
   ProcessPtr p(new Process(*this, std::move(name)));
   p->root_ = std::move(body);
-  p->parent_ = current_;
   if (current_) current_->children_.push_back(p);
   p->root_.handle().promise().on_done = [raw = p.get()] {
     raw->on_root_done();

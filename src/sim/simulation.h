@@ -62,12 +62,9 @@ class Simulation {
   std::uint64_t events_processed() const { return events_processed_; }
   std::size_t live_process_count() const;
 
-  /// All spawned processes (finished ones included until reaped) — for
-  /// stall diagnostics: dump the unfinished ones to see who deadlocked.
+  /// All spawned processes, finished ones included — for stall
+  /// diagnostics: dump the unfinished ones to see who deadlocked.
   const std::vector<ProcessPtr>& debug_processes() const { return processes_; }
-
-  /// Drops bookkeeping references to finished processes.
-  void reap_finished();
 
   /// Kills every live process (reverse spawn order) and clears the event
   /// queue. Owners whose members (channels, stores...) are destroyed before

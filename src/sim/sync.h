@@ -1,11 +1,10 @@
-// Virtual-time synchronization primitives: WaitQueue, Event, Semaphore,
-// Mutex, Barrier, Channel<T>.
+// Virtual-time synchronization primitives: WaitQueue, Event, Barrier,
+// Channel<T>.
 //
 // All wakeups are *scheduled* (events at the current virtual time), never
 // inline resumes, so no process ever runs re-entrantly inside another
 // process's stack. Every wait node implements Blocker so a killed process
-// detaches cleanly; nodes that were already handed a semaphore permit return
-// it on cancellation.
+// detaches cleanly.
 #pragma once
 
 #include <cassert>
@@ -127,134 +126,6 @@ class Event {
  private:
   bool set_ = false;
   WaitQueue q_;
-};
-
-/// Counting semaphore with FIFO hand-off.
-class Semaphore {
- public:
-  Semaphore(Simulation& sim, std::int64_t count) : sim_(&sim), count_(count) {}
-  Semaphore(const Semaphore&) = delete;
-  Semaphore& operator=(const Semaphore&) = delete;
-
-  std::int64_t available() const { return count_; }
-  std::size_t waiting() const { return list_.size(); }
-
-  class Awaiter : public Blocker {
-   public:
-    explicit Awaiter(Semaphore& s) : sem_(&s) {}
-
-    bool await_ready() noexcept {
-      if (sem_->count_ > 0) {
-        --sem_->count_;
-        return true;
-      }
-      return false;
-    }
-    void await_suspend(std::coroutine_handle<> h) {
-      proc_ = sem_->sim_->current_process();
-      assert(proc_ != nullptr && "acquire() outside a process");
-      h_ = h;
-      proc_->set_blocker(this);
-      it_ = sem_->list_.insert(sem_->list_.end(), this);
-    }
-    void await_resume() const noexcept {}
-
-    void cancel() noexcept override {
-      if (notified_) {
-        // A permit was handed to us but we died before using it: return it.
-        resume_ev_.cancel();
-        sem_->release();
-      } else {
-        sem_->list_.erase(it_);
-      }
-    }
-
-   private:
-    friend class Semaphore;
-    void notify() {
-      notified_ = true;
-      resume_ev_ = sem_->sim_->call_at(sem_->sim_->now(), [this] {
-        proc_->clear_blocker(this);
-        proc_->resume_leaf(h_);
-      });
-    }
-    Semaphore* sem_;
-    Process* proc_ = nullptr;
-    std::coroutine_handle<> h_{};
-    std::list<Awaiter*>::iterator it_{};
-    bool notified_ = false;
-    TimerHandle resume_ev_;
-  };
-
-  Awaiter acquire() { return Awaiter(*this); }
-
-  void release(std::int64_t n = 1) {
-    while (n > 0) {
-      if (list_.empty()) {
-        count_ += n;
-        return;
-      }
-      Awaiter* a = list_.front();
-      list_.pop_front();
-      a->notify();  // hand-off: count unchanged
-      --n;
-    }
-  }
-
- private:
-  friend class Awaiter;
-  Simulation* sim_;
-  std::int64_t count_;
-  std::list<Awaiter*> list_;
-};
-
-/// FIFO mutex whose guard releases on destruction — including during
-/// kill-unwind of the owning process.
-class Mutex {
- public:
-  explicit Mutex(Simulation& sim) : sem_(sim, 1) {}
-
-  class Guard {
-   public:
-    Guard() = default;
-    explicit Guard(Mutex* m) : m_(m) {}
-    Guard(Guard&& o) noexcept : m_(std::exchange(o.m_, nullptr)) {}
-    Guard& operator=(Guard&& o) noexcept {
-      if (this != &o) {
-        release();
-        m_ = std::exchange(o.m_, nullptr);
-      }
-      return *this;
-    }
-    Guard(const Guard&) = delete;
-    Guard& operator=(const Guard&) = delete;
-    ~Guard() { release(); }
-    void release() {
-      if (m_ != nullptr) {
-        m_->sem_.release();
-        m_ = nullptr;
-      }
-    }
-
-   private:
-    Mutex* m_ = nullptr;
-  };
-
-  struct Awaiter {
-    Mutex* m;
-    Semaphore::Awaiter inner;
-    bool await_ready() noexcept { return inner.await_ready(); }
-    void await_suspend(std::coroutine_handle<> h) { inner.await_suspend(h); }
-    Guard await_resume() noexcept { return Guard(m); }
-  };
-
-  /// Usage: `auto guard = co_await mutex.lock();`
-  Awaiter lock() { return Awaiter{this, sem_.acquire()}; }
-
-  bool locked() const { return sem_.available() == 0; }
-
- private:
-  Semaphore sem_;
 };
 
 /// Cyclic barrier for a fixed number of parties.

@@ -34,6 +34,14 @@ struct TestRig {
   // Host nodes for mirrors are the last two nodes.
   net::NodeId host_a = 0;
   net::NodeId host_b = 0;
+  // One cold decoded-chunk cache per device: each mirror models its own
+  // compute node.
+  std::vector<std::unique_ptr<DecodedChunkCache>> caches;
+
+  DecodedChunkCache& new_node_cache() {
+    caches.push_back(std::make_unique<DecodedChunkCache>(64 * common::kMB));
+    return *caches.back();
+  }
 
   TestRig() {
     const std::size_t n_data = 4;
@@ -83,7 +91,7 @@ struct TestRig {
     cfg.capacity = kImage;
     return std::make_unique<MirrorDevice>(
         *store, host, *disks[4 + (host == host_a ? 0 : 1)], 99, base, 1, cfg,
-        bus);
+        new_node_cache(), bus);
   }
 
   void run(Task<> t) {
@@ -242,7 +250,7 @@ TEST(MirrorTest, RestartedMirrorCommitsIntoBackingImage) {
   MirrorDevice::Config mcfg;
   mcfg.capacity = kImage;
   MirrorDevice restarted(*rig.store, rig.host_b, *rig.disks[5], 98, image,
-                         snap, mcfg);
+                         snap, mcfg, rig.new_node_cache());
   restarted.set_checkpoint_blob(image, snap);
   blob::VersionId v2 = 0;
   Buffer view;
@@ -311,7 +319,7 @@ TEST(MirrorTest, ReducedCommitShipsLessAndRoundTrips) {
   MirrorDevice::Config mcfg;
   mcfg.capacity = kImage;
   MirrorDevice m2(*rig.store, rig.host_b, *rig.disks[5], 97, rig.base, 1,
-                  mcfg, nullptr, &reducer);
+                  mcfg, rig.new_node_cache(), nullptr, &reducer);
 
   // Rank 1 (unreduced) establishes nothing in the index; rank 2 commits a
   // mix of duplicate-able, zero and unique chunks through the reducer.

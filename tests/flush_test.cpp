@@ -39,6 +39,8 @@ constexpr std::uint64_t kChunk = 4096;
 constexpr std::uint64_t kImage = 32 * kChunk;
 
 /// Small in-memory cluster + backing blob, one per harness iteration.
+/// Compute hosts are the last `hosts` nodes, starting at `host`; host k
+/// writes to disks[3 + k].
 struct FlushRig {
   Simulation sim;
   std::unique_ptr<net::Fabric> fabric;
@@ -48,11 +50,15 @@ struct FlushRig {
   blob::BlobId base = 0;
   net::NodeId host = 0;
   sim::Event never;  // parking spot for kill-probes (never set)
+  // One cold decoded-chunk cache per device: each mirror models its own
+  // compute node.
+  std::vector<std::unique_ptr<core::DecodedChunkCache>> caches;
 
-  explicit FlushRig(bool with_reduction = false, int replication = 1)
+  explicit FlushRig(bool with_reduction = false, int replication = 1,
+                    std::size_t hosts = 1)
       : never(sim) {
     const std::size_t n_data = 3;
-    const std::size_t total = 2 + 2 + n_data + 1;
+    const std::size_t total = 2 + 2 + n_data + hosts;
     net::Fabric::Config fcfg;
     fcfg.node_count = total;
     fcfg.nic_bandwidth_bps = 1e9;
@@ -65,7 +71,7 @@ struct FlushRig {
     storage::Disk::Config dcfg;
     dcfg.bandwidth_bps = 1e9;
     dcfg.position_cost = 100 * sim::kMicrosecond;
-    for (std::size_t i = 0; i < n_data + 1; ++i) {
+    for (std::size_t i = 0; i < n_data + hosts; ++i) {
       disks.push_back(
           std::make_unique<storage::Disk>(sim, common::strf("d%zu", i), dcfg));
     }
@@ -77,7 +83,7 @@ struct FlushRig {
     cfg.tree_depth = 10;
     cfg.replication = replication;
     store = std::make_unique<blob::BlobStore>(sim, *fabric, cfg);
-    host = static_cast<net::NodeId>(total - 1);
+    host = static_cast<net::NodeId>(total - hosts);
     if (with_reduction) {
       reduce::ReductionConfig rcfg;
       rcfg.enabled = true;
@@ -88,6 +94,12 @@ struct FlushRig {
       rig->base = co_await client.create(kChunk);
       co_await client.write(rig->base, 0, Buffer::pattern(kImage, 42));
     }(this));
+  }
+
+  core::DecodedChunkCache& new_node_cache() {
+    caches.push_back(
+        std::make_unique<core::DecodedChunkCache>(64 * common::kMB));
+    return *caches.back();
   }
 
   void run(Task<> t) {
@@ -114,7 +126,8 @@ core::MirrorDevice::Config mirror_config(flush::QueuePolicy policy,
 TEST(FlushAgentTest, ProvisionalVersionPublishesAndReadsBack) {
   FlushRig rig;
   core::MirrorDevice m(*rig.store, rig.host, *rig.disks[3], 99, rig.base, 1,
-                       mirror_config(flush::QueuePolicy::Queue), nullptr);
+                       mirror_config(flush::QueuePolicy::Queue),
+                       rig.new_node_cache());
   rig.run([](FlushRig* rig, core::MirrorDevice* m) -> Task<> {
     co_await m->write(0, Buffer::pattern(3 * kChunk, 7));
     const blob::BlobId ckpt = co_await m->ioctl_clone();
@@ -139,7 +152,8 @@ TEST(FlushAgentTest, ProvisionalVersionPublishesAndReadsBack) {
 TEST(FlushAgentTest, QueuedCommitsPublishInSubmissionOrder) {
   FlushRig rig;
   core::MirrorDevice m(*rig.store, rig.host, *rig.disks[3], 99, rig.base, 1,
-                       mirror_config(flush::QueuePolicy::Queue, 4), nullptr);
+                       mirror_config(flush::QueuePolicy::Queue, 4),
+                       rig.new_node_cache());
   rig.run([](FlushRig* rig, core::MirrorDevice* m) -> Task<> {
     const blob::BlobId ckpt = co_await m->ioctl_clone();
     std::vector<blob::VersionId> ids;
@@ -176,7 +190,8 @@ TEST(FlushAgentTest, QueuedCommitsPublishInSubmissionOrder) {
 TEST(FlushAgentTest, MergePolicyCoalescesQueuedGenerations) {
   FlushRig rig;
   core::MirrorDevice m(*rig.store, rig.host, *rig.disks[3], 99, rig.base, 1,
-                       mirror_config(flush::QueuePolicy::Merge, 8), nullptr);
+                       mirror_config(flush::QueuePolicy::Merge, 8),
+                       rig.new_node_cache());
   rig.run([](FlushRig* rig, core::MirrorDevice* m) -> Task<> {
     const blob::BlobId ckpt = co_await m->ioctl_clone();
     // First commit occupies the drain; the next two land while it runs and
@@ -203,7 +218,8 @@ TEST(FlushAgentTest, MergePolicyCoalescesQueuedGenerations) {
 TEST(FlushAgentTest, BackpressureBoundsStagedGenerations) {
   FlushRig rig;
   core::MirrorDevice m(*rig.store, rig.host, *rig.disks[3], 99, rig.base, 1,
-                       mirror_config(flush::QueuePolicy::Queue, 1), nullptr);
+                       mirror_config(flush::QueuePolicy::Queue, 1),
+                       rig.new_node_cache());
   rig.run([](FlushRig* rig, core::MirrorDevice* m) -> Task<> {
     (void)co_await m->ioctl_clone();
     for (int i = 0; i < 4; ++i) {
@@ -228,7 +244,8 @@ TEST(FlushAgentTest, DrainFailurePoisonsAgentAndDropsQueuedGenerations) {
   // queue and reporting the failure to every waiter.
   FlushRig rig(/*with_reduction=*/false, /*replication=*/2);
   core::MirrorDevice m(*rig.store, rig.host, *rig.disks[3], 99, rig.base, 1,
-                       mirror_config(flush::QueuePolicy::Queue, 4), nullptr);
+                       mirror_config(flush::QueuePolicy::Queue, 4),
+                       rig.new_node_cache());
   rig.run([](FlushRig* rig, core::MirrorDevice* m) -> Task<> {
     const blob::BlobId ckpt = co_await m->ioctl_clone();
     co_await m->write(0, Buffer::pattern(kImage, 77));
@@ -329,7 +346,8 @@ void run_one_seed(int seed) {
 
   auto mirror = std::make_unique<core::MirrorDevice>(
       *rig.store, rig.host, *rig.disks[3], 99, rig.base, 1,
-      mirror_config(policy, 2), nullptr, rig.reducer.get());
+      mirror_config(policy, 2), rig.new_node_cache(), nullptr,
+      rig.reducer.get());
 
   // Phase 1: one or two fully-published baseline snapshots.
   rig.run([](FlushRig* rig, Rng* rng, core::MirrorDevice* m,
@@ -423,7 +441,8 @@ void run_one_seed(int seed) {
   // dedup bait.
   auto restarted = std::make_unique<core::MirrorDevice>(
       *rig.store, rig.host, *rig.disks[3], 100, st->ckpt, latest,
-      mirror_config(policy, 2), nullptr, rig.reducer.get());
+      mirror_config(policy, 2), rig.new_node_cache(), nullptr,
+      rig.reducer.get());
   restarted->set_checkpoint_blob(st->ckpt, latest);
   st->ref = st->expected.at(latest);
   rig.run([](FlushRig* rig, Rng* rng, core::MirrorDevice* m,
@@ -622,6 +641,7 @@ TEST(RedundancyManagerTest, DeadParityHolderInvalidatesSealedGroup) {
   rcfg.group_size = 3;
   redundancy::Manager mgr(s, fabric, rcfg, {});
   core::DecodedChunkCache c0(1 << 22), c1(1 << 22), c2(1 << 22), c3(1 << 22);
+  core::PrefetchBus bus(s);  // the committing mirrors' bus
   mgr.attach(0, &c0);
   mgr.attach(1, &c1);
   mgr.attach(2, &c2);
@@ -642,9 +662,9 @@ TEST(RedundancyManagerTest, DeadParityHolderInvalidatesSealedGroup) {
     return v;
   };
   run([&]() -> Task<> {
-    co_await mgr.encode_commit(0, one(201, a));
-    co_await mgr.encode_commit(2, one(202, b));
-    co_await mgr.encode_commit(3, one(203, c));
+    co_await mgr.encode_commit(0, one(201, a), &bus);
+    co_await mgr.encode_commit(2, one(202, b), &bus);
+    co_await mgr.encode_commit(3, one(203, c), &bus);
   }());
   ASSERT_EQ(mgr.stats().groups_sealed, 1u);
   const auto gid = mgr.group_of(key(202));
@@ -654,9 +674,11 @@ TEST(RedundancyManagerTest, DeadParityHolderInvalidatesSealedGroup) {
   const net::NodeId holder = *held_by;
   ASSERT_GT(mgr.stats().parity_bytes, 0u);
 
-  // The holder fail-stops: cache contents gone, node leaves the tier.
+  // The holder fail-stops: cache contents gone, node leaves the tier and
+  // the bus.
   (holder == 0 ? c0 : holder == 1 ? c1 : holder == 2 ? c2 : c3).clear();
   mgr.drop_node(holder);
+  bus.drop_node(holder);
 
   // The group is unrecoverable and must stop counting as durable.
   EXPECT_FALSE(mgr.protects(key(202)));
@@ -666,17 +688,18 @@ TEST(RedundancyManagerTest, DeadParityHolderInvalidatesSealedGroup) {
 
   // A member rebuild falls through (nullopt) — the caller drops to the
   // repository tier — instead of pretending the dead holder's parity is
-  // reachable. Surviving *resident* member copies keep serving: they never
-  // depended on the holder.
+  // reachable. The committing node's seeded copy was published on the bus
+  // and keeps serving as a peer copy: it never depended on the holder.
   std::optional<Buffer> rebuilt;
   run([&]() -> Task<> { rebuilt = co_await mgr.rebuild(key(202), 3); }());
   EXPECT_FALSE(rebuilt.has_value());
   std::optional<Buffer> fetched;
   run([&]() -> Task<> {
-    fetched = co_await mgr.fetch_resident(key(202), 3);
+    fetched = co_await bus.copy_from_peer(fabric, key(202), 3);
   }());
   ASSERT_TRUE(fetched.has_value());
   EXPECT_TRUE(*fetched == b);
+  EXPECT_EQ(bus.peer_copies(), 1u);
 
   // Survivor commits keep working after the round-robin shrank: a fresh
   // line seals into a new group held by a live node.
@@ -687,6 +710,90 @@ TEST(RedundancyManagerTest, DeadParityHolderInvalidatesSealedGroup) {
   }());
   EXPECT_EQ(mgr.stats().groups_sealed, 2u);
   EXPECT_TRUE(mgr.protects(key(302)));
+}
+
+// The decoded copy a parity encode seeds into the committing node's cache is
+// an ordinary bus holder: readers on other nodes reach it as a peer copy,
+// under the same kPeerFanout cap as any other holder. One reader more than
+// that falls through to the repository instead of also streaming out of the
+// one node.
+TEST(FlushParityTest, SeededCopyServesAtMostPeerFanoutCopiesAtOnce) {
+  constexpr std::size_t kFanout = core::PrefetchBus::kPeerFanout;
+  constexpr std::size_t kReaders = kFanout + 1;
+  FlushRig rig(/*with_reduction=*/false, /*replication=*/1, 1 + kReaders);
+  redundancy::RedundancyConfig rcfg;
+  rcfg.enabled = true;
+  redundancy::Manager mgr(rig.sim, *rig.fabric, rcfg, core::kPeerShape);
+  core::PrefetchBus bus(rig.sim);
+
+  // The writer commits one chunk while its node is the only one in the
+  // tier: the drain seeds the decoded copy into the node's cache but forms
+  // no parity group, so that cached copy is the only one anywhere.
+  core::MirrorDevice::Config wcfg = mirror_config(flush::QueuePolicy::Queue);
+  wcfg.redundancy = &mgr;
+  core::DecodedChunkCache& writer_cache = rig.new_node_cache();
+  core::MirrorDevice writer(*rig.store, rig.host, *rig.disks[3], 99, rig.base,
+                            1, wcfg, writer_cache, &bus);
+  const Buffer content = Buffer::pattern(kChunk, 77);
+  blob::BlobId ckpt = 0;
+  blob::VersionId version = 0;
+  rig.run([&]() -> Task<> {
+    ckpt = co_await writer.ioctl_clone();
+    co_await writer.write(0, content);
+    version = co_await writer.ioctl_commit();
+    co_await writer.wait_drained();
+  }());
+  ASSERT_EQ(writer_cache.entries(), 1u);
+  ASSERT_EQ(mgr.stats().members_encoded, 0u);
+
+  // Readers on other nodes, backed by the committed version, with warm
+  // metadata so every demand read reaches the chunk levels at once.
+  core::MirrorDevice::Config mcfg;
+  mcfg.capacity = kImage;
+  mcfg.redundancy = &mgr;
+  std::vector<std::unique_ptr<core::MirrorDevice>> readers;
+  for (std::size_t k = 0; k < kReaders; ++k) {
+    readers.push_back(std::make_unique<core::MirrorDevice>(
+        *rig.store, static_cast<net::NodeId>(rig.host + 1 + k),
+        *rig.disks[4 + k], 100 + k, ckpt, version, mcfg, rig.new_node_cache(),
+        &bus));
+  }
+  rig.run([&]() -> Task<> {
+    for (auto& r : readers) (void)co_await r->resolve_backing_chunks();
+  }());
+
+  std::vector<Buffer> got(kReaders);
+  std::uint64_t started_early = 0;
+  std::size_t finished_early = 0;
+  rig.run([&]() -> Task<> {
+    // Before any copy can land (a peer copy pays kPeerShape's latency).
+    rig.sim.call_in(core::kPeerShape.latency / 2, [&] {
+      started_early = bus.peer_copies();
+      for (const auto& r : readers) finished_early += r->is_local(0, kChunk);
+    });
+    std::vector<Task<>> reads;
+    for (std::size_t k = 0; k < kReaders; ++k) {
+      reads.push_back([](core::MirrorDevice* m, Buffer* out) -> Task<> {
+        *out = co_await m->read(0, kChunk);
+      }(readers[k].get(), &got[k]));
+    }
+    co_await sim::when_all(rig.sim, std::move(reads));
+  }());
+
+  // kPeerFanout copies streamed out of the writer's node together ...
+  EXPECT_EQ(finished_early, 0u);
+  EXPECT_EQ(started_early, kFanout);
+  EXPECT_EQ(bus.peer_copies(), kFanout);
+  // ... and the one reader over the cap fetched from the repository.
+  std::size_t peer_readers = 0;
+  std::size_t repo_readers = 0;
+  for (std::size_t k = 0; k < kReaders; ++k) {
+    EXPECT_TRUE(got[k] == content) << "reader " << k;
+    peer_readers += readers[k]->peer_bytes_fetched() == kChunk;
+    repo_readers += readers[k]->repo_bytes_fetched() > 0;
+  }
+  EXPECT_EQ(peer_readers, kFanout);
+  EXPECT_EQ(repo_readers, kReaders - kFanout);
 }
 
 TEST(FlushParityTest, KillAtParityEncodeRestoresBitExactWithNoOrphanedParity) {
@@ -706,11 +813,11 @@ TEST(FlushParityTest, KillAtParityEncodeRestoresBitExactWithNoOrphanedParity) {
   // attached nodes; with 2, each member seals into a width-1 group whose
   // parity block lives on the *other* node — a peer-held replica).
   auto m0 = std::make_unique<core::MirrorDevice>(
-      *rig.store, rig.host, *rig.disks[3], 99, rig.base, 1, mcfg, nullptr,
-      nullptr);
+      *rig.store, rig.host, *rig.disks[3], 99, rig.base, 1, mcfg,
+      rig.new_node_cache());
   auto m1 = std::make_unique<core::MirrorDevice>(
       *rig.store, static_cast<net::NodeId>(rig.host - 1), *rig.disks[3], 101,
-      rig.base, 1, mcfg, nullptr, nullptr);
+      rig.base, 1, mcfg, rig.new_node_cache());
 
   // Baseline: both nodes publish a snapshot; the drains encode parity.
   blob::BlobId ckpt0 = 0;

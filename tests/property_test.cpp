@@ -41,6 +41,7 @@ struct MirrorRig {
   std::unique_ptr<blob::BlobStore> store;
   blob::BlobId base = 0;
   net::NodeId host = 0;
+  core::DecodedChunkCache node_cache{64 * common::kMB};  // host's cache
 
   MirrorRig() {
     const std::size_t n_data = 4;
@@ -91,7 +92,7 @@ TEST_P(MirrorSnapshotPropertyTest, EveryCommittedVersionStaysIntact) {
   core::MirrorDevice::Config mcfg;
   mcfg.capacity = kImage;
   core::MirrorDevice mirror(*rig.store, rig.host, *rig.disks[4], 99,
-                            rig.base, 1, mcfg, nullptr);
+                            rig.base, 1, mcfg, rig.node_cache);
 
   struct Snapshot {
     blob::VersionId version = 0;
@@ -184,7 +185,7 @@ TEST_P(AsyncCommitPropertyTest, PublishedVersionNeverContainsLaterWrites) {
   mcfg.flush.policy = flush::QueuePolicy::Queue;
   mcfg.flush.max_pending = 3;
   core::MirrorDevice mirror(*rig.store, rig.host, *rig.disks[4], 99,
-                            rig.base, 1, mcfg, nullptr);
+                            rig.base, 1, mcfg, rig.node_cache);
 
   struct Snapshot {
     blob::VersionId version = 0;

@@ -341,9 +341,11 @@ TEST(QosPrefetchQueueTest, QueuedRangesHoldNoGatePermits) {
   core::MirrorDevice::Config mcfg;
   mcfg.capacity = kImage;
   mcfg.tenant = bulk;
-  core::MirrorDevice a(store, 6, *disks[2], 1, base, 1, mcfg);
+  core::DecodedChunkCache cache_a(64 * common::kMB);
+  core::DecodedChunkCache cache_b(64 * common::kMB);
+  core::MirrorDevice a(store, 6, *disks[2], 1, base, 1, mcfg, cache_a);
   mcfg.tenant = small;
-  core::MirrorDevice b(store, 7, *disks[3], 1, base, 1, mcfg);
+  core::MirrorDevice b(store, 7, *disks[3], 1, base, 1, mcfg, cache_b);
 
   std::vector<std::pair<std::uint64_t, std::uint64_t>> ranges;
   for (std::uint64_t i = 0; i < kRanges; ++i) {

@@ -43,6 +43,8 @@ struct ReducedRig {
   net::NodeId host_a = 0;   // mirror hosts: the last three nodes
   net::NodeId host_b = 0;
   net::NodeId host_c = 0;
+  // Cold caches for devices that are given no shared node cache.
+  std::vector<std::unique_ptr<DecodedChunkCache>> caches;
 
   ReducedRig() {
     const std::size_t n_data = 4;
@@ -111,9 +113,13 @@ struct ReducedRig {
     MirrorDevice::Config cfg;
     cfg.capacity = kImage;
     const std::size_t disk_idx = 4 + (host % 3);
+    if (cache == nullptr) {
+      caches.push_back(std::make_unique<DecodedChunkCache>(64 * common::kMB));
+      cache = caches.back().get();
+    }
     return std::make_unique<MirrorDevice>(*store, host, *disks[disk_idx],
-                                          90 + host, base, 1, cfg, bus,
-                                          nullptr, cache);
+                                          90 + host, base, 1, cfg, *cache,
+                                          bus);
   }
 
   void run(Task<> t) {

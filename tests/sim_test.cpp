@@ -222,25 +222,6 @@ TEST(KillTest, KillPropagatesToChildren) {
   EXPECT_EQ(s.live_process_count(), 0u);
 }
 
-Task<> lock_and_sleep(Simulation& s, Mutex& m, std::vector<Time>& acquired) {
-  auto guard = co_await m.lock();
-  acquired.push_back(s.now());
-  co_await s.delay(100);
-}
-
-TEST(KillTest, KillReleasesHeldMutex) {
-  Simulation s;
-  Mutex m(s);
-  std::vector<Time> acquired;
-  auto a = s.spawn("a", lock_and_sleep(s, m, acquired));
-  s.spawn("b", lock_and_sleep(s, m, acquired));
-  s.call_at(30, [&] { a->kill(); });  // a holds the lock at t=30
-  s.run();
-  ASSERT_EQ(acquired.size(), 2u);
-  EXPECT_EQ(acquired[0], 0);
-  EXPECT_EQ(acquired[1], 30);  // b acquires the moment a dies
-}
-
 Task<> wait_on_event(Event& e, std::vector<int>& out, int id) {
   co_await e.wait();
   out.push_back(id);
@@ -279,36 +260,6 @@ TEST(EventTest, SetWakesAllWaiters) {
   s.call_at(5, [&] { e.set(); });
   s.run();
   EXPECT_EQ(out.size(), 2u);
-}
-
-Task<> sem_user(Simulation& s, Semaphore& sem, Duration hold,
-                std::vector<Time>& times) {
-  co_await sem.acquire();
-  times.push_back(s.now());
-  co_await s.delay(hold);
-  sem.release();
-}
-
-TEST(SemaphoreTest, LimitsConcurrency) {
-  Simulation s;
-  Semaphore sem(s, 2);
-  std::vector<Time> times;
-  for (int i = 0; i < 4; ++i) s.spawn("u", sem_user(s, sem, 100, times));
-  s.run();
-  ASSERT_EQ(times.size(), 4u);
-  EXPECT_EQ(times[0], 0);
-  EXPECT_EQ(times[1], 0);
-  EXPECT_EQ(times[2], 100);
-  EXPECT_EQ(times[3], 100);
-}
-
-TEST(SemaphoreTest, FifoHandOff) {
-  Simulation s;
-  Semaphore sem(s, 1);
-  std::vector<Time> times;
-  for (int i = 0; i < 3; ++i) s.spawn("u", sem_user(s, sem, 10, times));
-  s.run();
-  EXPECT_EQ(times, (std::vector<Time>{0, 10, 20}));
 }
 
 Task<> barrier_party(Simulation& s, Barrier& b, Duration arrive_at,
