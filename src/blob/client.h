@@ -175,10 +175,8 @@ class BlobClient {
 
   std::uint64_t bytes_written() const { return bytes_written_; }
   std::uint64_t bytes_read() const { return bytes_read_; }
-  std::size_t cached_nodes() const { return node_cache_.size(); }
-  /// Raw vs. actually-shipped payload of the most recent commit (equal when
-  /// no reducer ran; shipped excludes replication).
-  std::uint64_t last_commit_raw_bytes() const { return last_commit_raw_; }
+  /// Payload the most recent commit actually shipped (after reduction,
+  /// excluding replication).
   std::uint64_t last_commit_stored_bytes() const { return last_commit_stored_; }
   /// Chunk size of `blob` when this client has already resolved it (the
   /// create/commit/read paths all cache it); 0 for an unseen blob.
@@ -238,7 +236,6 @@ class BlobClient {
   std::unordered_map<BlobId, std::uint64_t> chunk_size_cache_;
   std::uint64_t bytes_written_ = 0;
   std::uint64_t bytes_read_ = 0;
-  std::uint64_t last_commit_raw_ = 0;
   std::uint64_t last_commit_stored_ = 0;
 };
 

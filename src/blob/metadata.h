@@ -44,10 +44,6 @@ class MetadataCluster {
   sim::Task<> get_nodes(net::NodeId client, const std::vector<NodeRef>& refs,
                         std::unordered_map<NodeRef, TreeNode>& out);
 
-  bool has_node(NodeRef ref) const {
-    return records_.find(ref) != records_.end();
-  }
-
   /// In-process inspection (garbage collector, tests); no simulated cost.
   const TreeNode* peek_node(NodeRef ref) const {
     const auto it = records_.find(ref);

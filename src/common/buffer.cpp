@@ -52,10 +52,6 @@ Buffer Buffer::pattern(std::size_t n, std::uint64_t seed) {
   return real(std::move(data));
 }
 
-Buffer Buffer::random(std::size_t n, Rng& rng) {
-  return pattern(n, rng.next_u64());
-}
-
 Buffer Buffer::from_string(std::string_view text) {
   std::vector<std::byte> data(text.size());
   std::memcpy(data.data(), text.data(), text.size());

@@ -36,7 +36,6 @@ class Buffer {
   static Buffer zeros(std::size_t n);
   /// Deterministic pseudo-random content derived from `seed`.
   static Buffer pattern(std::size_t n, std::uint64_t seed);
-  static Buffer random(std::size_t n, Rng& rng);
   static Buffer from_string(std::string_view text);
   static Buffer phantom(std::size_t n);
 
@@ -78,8 +77,6 @@ class Buffer {
   std::string to_string() const;  // fully_real() only; empty otherwise
 
   friend bool operator==(const Buffer& a, const Buffer& b);
-
-  std::size_t segment_count() const { return segs_.size(); }
 
  private:
   struct Segment {

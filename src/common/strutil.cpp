@@ -43,8 +43,4 @@ std::vector<std::string> split(const std::string& s, char sep) {
   }
 }
 
-bool starts_with(const std::string& s, const std::string& prefix) {
-  return s.size() >= prefix.size() && s.compare(0, prefix.size(), prefix) == 0;
-}
-
 }  // namespace blobcr::common

@@ -15,6 +15,4 @@ std::string human_bytes(std::uint64_t bytes);
 
 std::vector<std::string> split(const std::string& s, char sep);
 
-bool starts_with(const std::string& s, const std::string& prefix);
-
 }  // namespace blobcr::common

@@ -63,12 +63,8 @@ class DecodedChunkCache {
   /// The pointer is valid until the next put() (eviction may free it).
   const common::Buffer* get(const ChunkKey& key) {
     const auto it = map_.find(key);
-    if (it == map_.end()) {
-      ++misses_;
-      return nullptr;
-    }
+    if (it == map_.end()) return nullptr;
     lru_.splice(lru_.begin(), lru_, it->second);
-    ++hits_;
     return &it->second->data;
   }
 
@@ -90,7 +86,6 @@ class DecodedChunkCache {
       bytes_ -= victim.data.size();
       map_.erase(victim.key);
       lru_.pop_back();
-      ++evictions_;
     }
   }
 
@@ -105,7 +100,7 @@ class DecodedChunkCache {
     return true;
   }
 
-  /// Drops every entry (node reclaimed/reimaged). Counters are kept.
+  /// Drops every entry (node reclaimed/reimaged).
   void clear() {
     lru_.clear();
     map_.clear();
@@ -114,9 +109,6 @@ class DecodedChunkCache {
 
   std::uint64_t bytes() const { return bytes_; }
   std::size_t entries() const { return map_.size(); }
-  std::uint64_t hits() const { return hits_; }
-  std::uint64_t misses() const { return misses_; }
-  std::uint64_t evictions() const { return evictions_; }
 
  private:
   struct Entry {
@@ -126,9 +118,6 @@ class DecodedChunkCache {
 
   std::uint64_t capacity_;
   std::uint64_t bytes_ = 0;
-  std::uint64_t hits_ = 0;
-  std::uint64_t misses_ = 0;
-  std::uint64_t evictions_ = 0;
   std::list<Entry> lru_;
   std::unordered_map<ChunkKey, std::list<Entry>::iterator, ChunkKeyHash> map_;
 };

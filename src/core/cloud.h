@@ -363,9 +363,6 @@ class Deployment {
   }
   /// The repository tenant this deployment's instances commit as.
   net::TenantId tenant() const { return tenant_; }
-  /// The flush configuration this deployment's mirrors actually run
-  /// (Options::flush override, else CloudConfig::flush).
-  const flush::FlushConfig& flush_config() const { return flush_cfg_; }
   Instance& instance(std::size_t i) { return *instances_.at(i); }
   vm::VmInstance& vm(std::size_t i) { return *instances_.at(i)->vm; }
   mpi::MpiWorld& mpi() { return *mpi_; }

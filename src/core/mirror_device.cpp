@@ -37,8 +37,8 @@ MirrorDevice::MirrorDevice(blob::BlobStore& store, net::NodeId host,
     cfg_.redundancy->attach(host_, node_cache_);
   if (cfg_.flush.enabled) {
     flush_agent_ = std::make_unique<flush::FlushAgent>(
-        store, client_, local_disk, disk_stream, reducer_, cfg_.flush,
-        cfg_.redundancy, bus_, cfg_.federation);
+        store, client_, local_disk, disk_stream, reducer_, cfg_.redundancy, bus_,
+        cfg_.federation);
   }
 }
 

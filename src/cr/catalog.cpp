@@ -1,6 +1,7 @@
 #include "cr/catalog.h"
 
 #include <algorithm>
+#include <string>
 #include <utility>
 
 #include "blob/gc.h"
@@ -95,10 +96,20 @@ void encode_snapshot(ByteWriter& w, const core::InstanceSnapshot& s) {
   if (has_qcow) encode_qcow_state(w, s.qcow_state);
 }
 
+/// Reads an enum byte; a value past `last` is corruption, not an enumerator.
+template <class E>
+E decode_enum(ByteReader& r, E last, const char* what) {
+  const std::uint8_t v = r.u8();
+  if (v > static_cast<std::uint8_t>(last))
+    throw CrError(std::string("corrupt checkpoint catalog: bad ") + what +
+                  " byte " + std::to_string(v));
+  return static_cast<E>(v);
+}
+
 core::InstanceSnapshot decode_snapshot(ByteReader& r) {
   core::InstanceSnapshot s;
   s.instance = static_cast<std::size_t>(r.u64());
-  s.backend = static_cast<core::Backend>(r.u8());
+  s.backend = decode_enum(r, core::Backend::Qcow2Full, "backend");
   s.image = r.u64();
   s.version = r.u32();
   s.bytes = r.u64();
@@ -112,7 +123,7 @@ CheckpointRecord decode_record(ByteReader& r) {
   CheckpointRecord rec;
   rec.id = r.u64();
   rec.parent = r.u64();
-  rec.state = static_cast<RecordState>(r.u8());
+  rec.state = decode_enum(r, RecordState::Retired, "state");
   rec.created = static_cast<sim::Time>(r.u64());
   rec.tag = r.str();
   const std::uint32_t n = r.u32();
@@ -209,7 +220,9 @@ void Catalog::parse_log(const Buffer& log) {
     if (header.u32() != kFrameMagic) break;  // zero tail / end of log
     const std::uint32_t frame_len = header.u32();
     const std::uint32_t payload_len = header.u32();
-    if (frame_len < 12 + payload_len || off + frame_len > log.size())
+    // 64-bit sums: a payload_len near 2^32 must not wrap past the check.
+    if (frame_len < 12 + std::uint64_t{payload_len} ||
+        off + frame_len > log.size())
       throw CrError("corrupt checkpoint catalog frame at offset " +
                     std::to_string(off));
     const Buffer payload_bytes = log.slice(off + 12, payload_len);

@@ -103,10 +103,6 @@ class Catalog {
   /// alive or federation is off.
   sim::Task<> rehome_if_dead();
 
-  blob::BlobId catalog_blob() const { return blob_id_; }
-  /// Store the durable log currently lives on (rehomes after zone loss).
-  blob::BlobStore* home_store() const { return home_store_; }
-
  private:
   struct Frame {
     std::uint64_t offset = 0;  // byte offset of the frame in the log

@@ -131,7 +131,7 @@ sim::Task<bool> Fabric::replicate_chunk(blob::ChunkLocation loc,
   // provider-io gates like any other disk I/O, but no job is charged.
   const qos::IoContext ctx{net::kDefaultTenant, qos::GateClass::ProviderIo};
   common::Buffer data =
-      co_await src->fetch_shaped(target->node(), loc.id, wan_shape(), ctx);
+      co_await src->fetch(target->node(), loc.id, ctx, wan_shape());
   co_await target->put_local(loc.id, std::move(data), ctx);
   // Re-lookup after the awaits: the directory may have rehashed, and a
   // racing copy of the same chunk may have landed first.
@@ -154,9 +154,9 @@ sim::Task<> Fabric::replicate_commit(blob::BlobClient& client,
   const std::uint32_t origin = home->config().zone;
   if (!alive(origin)) co_return;
 
-  // Full-version manifest: the failover metadata. Registered even with
-  // payload replication off — metadata-only federation can still adopt a
-  // dead zone's versions (fetches then resolve to whatever copies survive).
+  // Full-version manifest: the failover metadata. Registered before any
+  // payload copy, so a survivor can adopt the version even when the zone
+  // dies mid-replication (fetches then resolve to whatever copies survive).
   const blob::BlobMeta meta = co_await client.stat(blob);
   if (version > meta.versions.size()) co_return;
   Manifest m;
@@ -211,7 +211,6 @@ sim::Task<> Fabric::replicate_commit(blob::BlobClient& client,
     manifest_bytes_ += manifest_wire;
   }
 
-  if (!cfg_.replicate) co_return;
   const std::uint32_t buddy = buddy_of(origin);
   if (buddy >= zones_.size()) co_return;  // no live sibling
 
@@ -290,13 +289,8 @@ sim::Task<std::optional<Fabric::FetchResult>> Fabric::try_fetch(
   for (const Candidate& c : order) {
     const bool wan = c.zone != my;
     try {
-      common::Buffer data;
-      if (wan) {
-        data = co_await c.provider->fetch_shaped(dst, loc.id, wan_shape(),
-                                                 ctx);
-      } else {
-        data = co_await c.provider->fetch(dst, loc.id, ctx);
-      }
+      common::Buffer data = co_await c.provider->fetch(
+          dst, loc.id, ctx, wan ? wan_shape() : net::Fabric::Shape{});
       if (wan) wan_fetch_bytes_ += loc.size;
       co_return FetchResult{
           blob::BlobClient::decode_stored(loc, std::move(data)), wan};

@@ -13,10 +13,12 @@
 //    chunk the shared digest index knows about.
 //  - Asynchronous replication, driven off the flush agent's drain (the same
 //    place the peer-parity encode stage runs): every drained commit's new
-//    chunks get one "floor" copy in the origin's buddy zone, and — within a
-//    per-drain byte budget — hot chunks (most manifest references first,
-//    the same popularity metric the restart prefetch scheduler sorts by)
-//    are pushed to the remaining sibling zones.
+//    chunks always get one "floor" copy in the origin's buddy zone (the
+//    next live zone), and — within a per-drain byte budget — hot chunks
+//    (most manifest references first, the same popularity metric the
+//    restart prefetch scheduler sorts by) are pushed to the remaining
+//    sibling zones. Synchronous commits never drain, so their chunks stay
+//    in the origin zone.
 //  - Zone-loss failover: the drain also registers a full leaf manifest per
 //    published version with the federation. When a whole zone dies, a
 //    surviving zone adopts the dead version metadata-only
@@ -64,10 +66,6 @@ struct FederationConfig {
   /// application rate cap layered on the NIC fair share (net::Fabric::Shape).
   sim::Duration wan_latency = 2 * sim::kMillisecond;
   double wan_bandwidth_bps = 50e6;
-  /// Floor replication: copy every drained commit's new chunks once, to the
-  /// origin's buddy zone (next live zone). Off = manifests only, no payload
-  /// redundancy across zones.
-  bool replicate = true;
   /// Per-drain byte budget for extra hot-chunk copies beyond the floor
   /// (pushed popularity-first to every remaining sibling zone). 0 = floor
   /// only. Only meaningful with 3+ zones.
@@ -100,7 +98,6 @@ class Fabric {
   std::size_t zones() const { return zones_.size(); }
   bool enabled() const { return zones_.size() > 1; }
   const FederationConfig& config() const { return cfg_; }
-  bool replication_on() const { return enabled() && cfg_.replicate; }
 
   static std::uint32_t zone_of_blob(blob::BlobId id) {
     return static_cast<std::uint32_t>(id >> kBlobZoneShift);
@@ -204,7 +201,6 @@ class Fabric {
     return replicated_bytes_ + wan_fetch_bytes_ + manifest_bytes_ +
            catalog_bytes_;
   }
-  std::size_t replica_entries() const { return replicas_.size(); }
   std::uint32_t popularity(blob::ChunkId id) const {
     const auto it = popular_.find(id);
     return it == popular_.end() ? 0 : it->second;

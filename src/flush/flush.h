@@ -8,7 +8,9 @@
 // provisional version id immediately; a per-node FlushAgent then drains
 // staged generations through the regular commit path (reduction, placement,
 // replication, metadata) and publishes each version atomically when its
-// drain completes. The app-blocked interval shrinks from "ship everything"
+// drain completes. Every commit is its own generation and its own version,
+// published in submission order; FlushAgent::kMaxPending bounds how many
+// are held per node. The app-blocked interval shrinks from "ship everything"
 // to "freeze the difference log", which shifts the Young/Daly optimum in
 // ft/interval.h toward more frequent checkpoints.
 //
@@ -20,39 +22,19 @@
 // and the last fully-published version stays restorable bit for bit.
 #pragma once
 
-#include <cstddef>
 #include <cstdint>
 
 #include "sim/time.h"
 
 namespace blobcr::flush {
 
-/// What happens to a commit submitted while earlier drains are in flight.
-enum class QueuePolicy {
-  /// Each commit becomes its own staged generation and publishes its own
-  /// version, in submission order (bounded by max_pending; backpressure
-  /// blocks the submitter once the bound is hit).
-  Queue,
-  /// A commit arriving while a *queued* (not yet draining) generation
-  /// exists is coalesced into it: the frozen content is overwritten with
-  /// the newer capture and both submitters share one published version
-  /// (group commit). Falls back to Queue when nothing is queued.
-  Merge,
-};
-
 struct FlushConfig {
   /// Master switch: when false, COMMIT is the fully synchronous path.
   bool enabled = false;
-  QueuePolicy policy = QueuePolicy::Queue;
-  /// Staged-but-undrained generations the agent holds before submit()
-  /// blocks the caller (the VM is still paused during submit, so this is
-  /// the backpressure knob bounding local staging memory).
-  std::size_t max_pending = 2;
 };
 
 struct FlushStats {
   std::uint64_t commits_staged = 0;    // generations frozen
-  std::uint64_t commits_merged = 0;    // submits coalesced (Merge policy)
   std::uint64_t drains_completed = 0;  // versions published
   std::uint64_t drains_failed = 0;
   std::uint64_t staged_bytes = 0;      // payload frozen at submit

@@ -11,7 +11,7 @@ namespace blobcr::flush {
 
 FlushAgent::FlushAgent(blob::BlobStore& store, blob::BlobClient& client,
                        storage::Disk& disk, std::uint64_t disk_stream,
-                       blob::CommitReducer* reducer, const FlushConfig& cfg,
+                       blob::CommitReducer* reducer,
                        redundancy::Manager* redundancy,
                        core::PrefetchBus* bus, federation::Fabric* federation)
     : store_(&store),
@@ -22,10 +22,8 @@ FlushAgent::FlushAgent(blob::BlobStore& store, blob::BlobClient& client,
       redundancy_(redundancy),
       bus_(bus),
       fed_(federation),
-      cfg_(cfg),
       work_wq_(store.simulation()),
       done_wq_(store.simulation()) {
-  if (cfg_.max_pending == 0) cfg_.max_pending = 1;
   loop_ = store.simulation().spawn("flush-agent", drain_loop());
 }
 
@@ -41,30 +39,8 @@ sim::Task<blob::VersionId> FlushAgent::submit(blob::BlobId blob,
   std::uint64_t payload = 0;
   for (const common::Range& r : ranges.to_vector()) payload += r.length();
 
-  // Group commit: coalesce into a queued (not yet draining) generation.
-  // The newer capture overwrites overlapping content — the merged version
-  // reflects the image as of this (latest) capture over the union of both
-  // dirty sets, which is exactly the image state right now.
-  if (cfg_.policy == QueuePolicy::Merge && !queue_.empty() &&
-      queue_.back().blob == blob) {
-    StagedCommit& tail = queue_.back();
-    for (auto& [off, piece] : frozen.read_extents(0, frozen.size())) {
-      tail.data.write(off, std::move(piece));
-    }
-    for (const common::Range& r : ranges.to_vector()) {
-      tail.ranges.insert(r.begin, r.end);
-    }
-    tail.payload_bytes = 0;
-    for (const common::Range& r : tail.ranges.to_vector()) {
-      tail.payload_bytes += r.length();
-    }
-    ++stats_.commits_merged;
-    stats_.blocked_time += store_->simulation().now() - t0;
-    co_return tail.reserved;
-  }
-
   // Backpressure: bound the staged generations held on this node.
-  while (pending() >= cfg_.max_pending) {
+  while (pending() >= kMaxPending) {
     ++stats_.backpressure_waits;
     co_await done_wq_.wait();
     if (dead_) throw blob::BlobError("flush agent fail-stopped");
@@ -169,7 +145,6 @@ sim::Task<> FlushAgent::drain_one(StagedCommit c) {
   opts.probe = probe_ ? &probe_ : nullptr;
   const blob::VersionId v = co_await client_->write_extents_via(
       c.blob, std::move(specs), spool.reader(), std::move(opts));
-  last_published_ = v;
   last_drain_stored_ = client_->last_commit_stored_bytes();
 
   // Peer parity tier: the drained chunks fold into XOR groups across the

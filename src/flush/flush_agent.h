@@ -9,12 +9,9 @@
 // window-limited replica stores, metadata path-copy) and publishes each
 // version atomically when its drain completes.
 //
-// Backpressure: at most max_pending generations are held; further submits
+// Backpressure: at most kMaxPending generations are held; further submits
 // block (the VM is still paused inside submit, so the pause absorbs the
-// overload instead of unbounded staging memory). Under QueuePolicy::Merge a
-// submit arriving while a generation is queued-but-not-draining coalesces
-// into it (group commit): the newer capture overwrites, both submitters
-// share one published version.
+// overload instead of unbounded staging memory).
 //
 // Fail-stop: fail_stop() (node death) kills the drain mid-flight. The
 // commit guard in BlobClient::write_extents_via unwinds with the coroutine
@@ -22,6 +19,7 @@
 // dead drain, so the repository keeps only fully-published versions.
 #pragma once
 
+#include <cstddef>
 #include <deque>
 #include <exception>
 
@@ -45,6 +43,10 @@ namespace blobcr::flush {
 
 class FlushAgent {
  public:
+  /// Staged-but-undrained generations held per node before submit() blocks
+  /// the caller: the backpressure bound on local staging memory.
+  static constexpr std::size_t kMaxPending = 2;
+
   /// `redundancy` (optional): after each drain publishes, its committed
   /// chunks fold into the deployment's peer parity tier — the
   /// CommitStage::ParityEncode boundary. `bus` (optional): the prefetch bus
@@ -55,7 +57,7 @@ class FlushAgent {
   /// replicate asynchronously to sibling zones — CommitStage::Replicate.
   FlushAgent(blob::BlobStore& store, blob::BlobClient& client,
              storage::Disk& disk, std::uint64_t disk_stream,
-             blob::CommitReducer* reducer, const FlushConfig& cfg,
+             blob::CommitReducer* reducer,
              redundancy::Manager* redundancy = nullptr,
              core::PrefetchBus* bus = nullptr,
              federation::Fabric* federation = nullptr);
@@ -80,7 +82,6 @@ class FlushAgent {
   const FlushStats& stats() const { return stats_; }
   /// Post-reduction payload the most recent completed drain shipped.
   std::uint64_t last_drain_stored_bytes() const { return last_drain_stored_; }
-  blob::VersionId last_published() const { return last_published_; }
 
   /// Test hook, awaited at every stage boundary of every drain.
   void set_stage_probe(blob::CommitProbe probe) { probe_ = std::move(probe); }
@@ -111,7 +112,6 @@ class FlushAgent {
   redundancy::Manager* redundancy_;
   core::PrefetchBus* bus_;
   federation::Fabric* fed_;
-  FlushConfig cfg_;
   blob::CommitProbe probe_;
 
   std::deque<StagedCommit> queue_;
@@ -120,7 +120,6 @@ class FlushAgent {
   std::exception_ptr error_;
   FlushStats stats_;
   std::uint64_t last_drain_stored_ = 0;
-  blob::VersionId last_published_ = 0;
   sim::WaitQueue work_wq_;  // submit -> drain loop
   sim::WaitQueue done_wq_;  // drain loop -> wait_drained / backpressure
   sim::ProcessPtr loop_;

@@ -376,7 +376,7 @@ Task<> ft_driver(Cloud* cloud, const FtJobConfig* cfg, FtReport* report) {
 
     if (st->failed) {
       // Failure detection (heartbeat timeout), then global rollback.
-      co_await sim.delay(cfg->detect_latency);
+      co_await sim.delay(kDetectLatency);
       dep.destroy_all();
       ++report->restarts;
       if (report->restarts > cfg->max_restarts) {
@@ -422,7 +422,7 @@ Task<> ft_driver(Cloud* cloud, const FtJobConfig* cfg, FtReport* report) {
         report->repair_copies += r.copies_made;
         report->repair_bytes += r.bytes_copied;
       }
-      report->restart_overhead += sim.now() - t0 + cfg->detect_latency;
+      report->restart_overhead += sim.now() - t0 + kDetectLatency;
       if (rec.success) ++st->epoch;  // the failure hit after the commit
       continue;  // retry the interrupted work chunk
     }

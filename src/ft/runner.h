@@ -17,6 +17,8 @@
 //  * A failure event fail-stops the victim's node: the VM dies and so does
 //    the co-located data provider (use replication >= 2 to keep the
 //    repository readable — exactly the paper's design point).
+//  * The middleware reacts to a failure kDetectLatency after it fires (a
+//    fixed heartbeat timeout), then rolls back.
 //  * Failure events that fire while a restart is in progress are deferred
 //    to the next epoch start (cost-wise equivalent to a failure during
 //    restart: another restart is paid almost immediately).
@@ -40,6 +42,10 @@ enum class DumpMode { AppLevel, Blcr };
 
 const char* dump_mode_name(DumpMode mode);
 
+/// Heartbeat timeout: delay between a failure and the middleware reacting.
+/// Every rollback pays it, and it counts toward FtReport::restart_overhead.
+inline constexpr sim::Duration kDetectLatency = 2 * sim::kSecond;
+
 struct FtJobConfig {
   std::size_t instances = 4;
   /// Useful compute per rank for the whole job.
@@ -55,8 +61,6 @@ struct FtJobConfig {
   DumpMode mode = DumpMode::AppLevel;
   /// Injected fail-stop events (empty = failure-free run).
   FailureSchedule failures;
-  /// Heartbeat timeout: delay between a failure and the middleware reacting.
-  sim::Duration detect_latency = 2 * sim::kSecond;
   /// Give up after this many rollbacks (guards pathological configs).
   std::size_t max_restarts = 64;
   /// After every rollback, run a repository repair pass that re-replicates

@@ -235,10 +235,6 @@ Fd SimpleFs::open(const std::string& path, bool create, bool append_mode) {
 
 void SimpleFs::close(Fd fd) { fds_.erase(fd); }
 
-void SimpleFs::seek(Fd fd, std::uint64_t offset) {
-  fds_.at(fd).cursor = offset;
-}
-
 std::uint64_t SimpleFs::file_size(Fd fd) const {
   return inodes_.at(fds_.at(fd).ino).size;
 }
@@ -507,10 +503,6 @@ sim::Task<> SimpleFs::sync() {
     meta_dirty_ = false;
   }
   co_await dev_->flush();
-}
-
-std::uint64_t SimpleFs::cached_bytes() const {
-  return pages_.size() * cfg_.block_size;
 }
 
 }  // namespace blobcr::guestfs

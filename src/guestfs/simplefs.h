@@ -82,7 +82,6 @@ class SimpleFs {
   sim::Task<common::Buffer> read(Fd fd, std::uint64_t len);  // at cursor
   sim::Task<common::Buffer> pread(Fd fd, std::uint64_t offset,
                                   std::uint64_t len);
-  void seek(Fd fd, std::uint64_t offset);
   std::uint64_t file_size(Fd fd) const;
 
   /// Convenience wrappers.
@@ -93,10 +92,7 @@ class SimpleFs {
   sim::Task<> sync();
 
   bool dirty() const { return !dirty_blocks_.empty() || meta_dirty_; }
-  std::uint64_t cached_bytes() const;
   const FsConfig& config() const { return cfg_; }
-  std::uint64_t data_start_block() const { return data_start_; }
-  std::uint64_t total_blocks() const { return total_blocks_; }
 
  private:
   struct Inode {
@@ -117,8 +113,6 @@ class SimpleFs {
   common::Buffer encode_metadata() const;
   void decode_metadata(const common::Buffer& blob);
 
-  Inode& inode_of_path(const std::string& path);
-  const Inode& inode_of_path(const std::string& path) const;
   Inode* resolve(const std::string& path);
   const Inode* resolve(const std::string& path) const;
   std::pair<Inode*, std::string> resolve_parent(const std::string& path);

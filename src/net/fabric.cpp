@@ -8,10 +8,6 @@ Fabric::Fabric(sim::Simulation& sim, const Config& cfg)
       ports_tx_(cfg.node_count),
       ports_rx_(cfg.node_count) {}
 
-sim::Task<> Fabric::transfer(NodeId src, NodeId dst, std::uint64_t bytes) {
-  co_await transfer(src, dst, bytes, Shape{});
-}
-
 sim::Task<> Fabric::transfer(NodeId src, NodeId dst, std::uint64_t bytes,
                              Shape shape) {
   assert(src < ports_tx_.size() && dst < ports_rx_.size());

@@ -45,14 +45,13 @@ class Fabric {
   };
 
   /// Moves `bytes` from src to dst: one-way latency plus fluid bandwidth
-  /// share. Loopback (src == dst) pays latency only.
-  sim::Task<> transfer(NodeId src, NodeId dst, std::uint64_t bytes);
-
-  /// Shaped variant: same fluid model, but the flow pays `shape.latency`
-  /// (when set) and never exceeds `shape.rate_cap_bps` (when set) even if
-  /// its NIC fair share is larger.
+  /// share. Loopback (src == dst) pays latency only. A shaped flow pays
+  /// `shape.latency` (when set) and never exceeds `shape.rate_cap_bps` (when
+  /// set) even if its NIC fair share is larger. (The default is spelled out
+  /// because Shape's member initializers are not usable in a default
+  /// argument inside Fabric.)
   sim::Task<> transfer(NodeId src, NodeId dst, std::uint64_t bytes,
-                       Shape shape);
+                       Shape shape = Shape{0, 0});
 
   /// Small control message (latency + negligible payload).
   sim::Task<> message(NodeId src, NodeId dst);

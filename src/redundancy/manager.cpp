@@ -64,16 +64,15 @@ Manager::Group* Manager::pick_group(net::NodeId node) {
     if (g.members.size() < g.target && !group_has_node(g, node)) return &g;
   }
   // Open a new group: the parity holder is the next other attached node
-  // round-robin, then as many distinct member nodes as remain (capped at the
-  // configured width).
+  // round-robin, then as many distinct member nodes as remain (capped at
+  // kGroupSize).
   if (nodes_.size() < 2) return nullptr;
   Group g;
   g.gid = next_gid_++;
   do {
     g.holder = nodes_[holder_rr_++ % nodes_.size()];
   } while (g.holder == node);
-  g.target = std::min(cfg_.group_size < 1 ? 1 : cfg_.group_size,
-                      nodes_.size() - 1);
+  g.target = std::min(kGroupSize, nodes_.size() - 1);
   const auto [it, ok] = groups_.emplace(g.gid, std::move(g));
   (void)ok;
   open_.push_back(it->first);

@@ -15,7 +15,7 @@
 // node; when a group reaches its width the parity block seals into the
 // holder node's decoded-chunk cache under a reserved content key (the b
 // field tagged 2 — disjoint from both digest keys (odd b) and ChunkId keys
-// (b == 0)).
+// (b == 0)). A group's width is min(kGroupSize, attached nodes - 1).
 //
 // The committing node's cache also keeps the decoded copy of every chunk it
 // commits, and that copy is published on the committing mirror's
@@ -42,6 +42,7 @@
 // parity block from the holder cache (no orphaned parity).
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <optional>
 #include <unordered_map>
@@ -62,6 +63,11 @@ namespace blobcr::redundancy {
 
 class Manager {
  public:
+  /// Data members per parity group (the XOR width), capped by the attached
+  /// node count minus the holder. Each group has one parity block (SCR's
+  /// m = 1).
+  static constexpr std::size_t kGroupSize = 4;
+
   /// One committed chunk, as handed over by the flush drain.
   struct ChunkPayload {
     core::ChunkKey key;
@@ -152,10 +158,6 @@ class Manager {
   /// invalidated and its parity block is erased from the holder cache.
   void forget_chunks(const std::vector<blob::ChunkId>& ids);
 
-  std::size_t open_groups() const { return open_.size(); }
-  std::size_t sealed_groups() const {
-    return groups_.size() - open_.size();
-  }
   /// Parity blocks still resident in attached holder caches (orphan check).
   std::size_t resident_parity_blocks() const;
   /// The group id protecting `key`, if any (tests probe parity residency).

@@ -1,24 +1,18 @@
 // Parity primitives for the SCR-style peer redundancy tier (src/redundancy/).
 //
 // Config-only + pure helpers: safe to include from core/cloud.h. The
-// stateful side (group formation, encode, rebuild) lives in manager.h.
+// stateful side (group formation, encode, rebuild) and the group width
+// (Manager::kGroupSize) live in manager.h.
 #pragma once
-
-#include <cstddef>
 
 #include "common/buffer.h"
 
 namespace blobcr::redundancy {
 
-/// Deployment knobs, wired through CloudConfig::redundancy.
+/// Deployment switch, wired through CloudConfig::redundancy.
 struct RedundancyConfig {
   /// Master switch; off = PR-3 four-level restart hierarchy, byte-identical.
   bool enabled = false;
-  /// Data members per parity group (the XOR width). Members of one group
-  /// always come from DISTINCT compute nodes, so a single node failure
-  /// costs at most one member per group — the single-erasure case XOR
-  /// reconstructs exactly. Each group has one parity block (SCR's m = 1).
-  std::size_t group_size = 4;
 };
 
 /// Bytewise XOR of two payloads, zero-padded to the longer one. Honesty

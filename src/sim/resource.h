@@ -28,7 +28,6 @@ class SharedResource {
   UseAwaiter use(std::uint64_t bytes);
 
   double capacity() const { return cap_; }
-  void set_capacity(double bps);
 
   std::size_t active_flows() const { return flows_.size(); }
   std::uint64_t total_bytes() const { return total_bytes_; }
@@ -105,12 +104,6 @@ class SharedResource::UseAwaiter : public Blocker {
 
 inline SharedResource::UseAwaiter SharedResource::use(std::uint64_t bytes) {
   return UseAwaiter(*this, bytes);
-}
-
-inline void SharedResource::set_capacity(double bps) {
-  settle();
-  cap_ = bps;
-  reschedule_all();
 }
 
 inline void SharedResource::settle() {

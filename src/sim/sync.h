@@ -104,7 +104,6 @@ class Event {
  public:
   explicit Event(Simulation& sim) : q_(sim) {}
 
-  bool is_set() const { return set_; }
   void set() {
     if (!set_) {
       set_ = true;

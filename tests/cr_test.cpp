@@ -15,8 +15,10 @@
 #include <vector>
 
 #include "blob/client.h"
+#include "common/codec.h"
 #include "core/blobcr.h"
 #include "flush/flush_agent.h"
+#include "pfs/pvfs.h"
 #include "sim/sim.h"
 
 namespace blobcr::cr {
@@ -123,6 +125,89 @@ TEST(CrCatalogTest, QcowCatalogOnPvfsSurvivesDriverLoss) {
   }(&cloud, &ok));
 
   EXPECT_TRUE(ok);
+}
+
+// ---------------------------------------------------------------------------
+// The catalog log is a persistent format: a frame whose lengths disagree or
+// whose record holds an out-of-range enum byte is rejected with CrError when
+// a fresh driver opens the log, instead of decoding garbage.
+// ---------------------------------------------------------------------------
+
+constexpr std::uint32_t kFrameMagic = 0x4b524342;  // "BCRK"
+
+Buffer crafted_frame(std::uint32_t frame_len, std::uint32_t payload_len,
+                     Buffer payload) {
+  common::ByteWriter header;
+  header.u32(kFrameMagic);
+  header.u32(frame_len);
+  header.u32(payload_len);
+  Buffer out = header.take();
+  out.append(std::move(payload));
+  if (out.size() < Catalog::kRecordAlign)
+    out.append(Buffer::zeros(Catalog::kRecordAlign - out.size()));
+  return out;
+}
+
+/// A one-record payload; `snapshot_backend` >= 0 adds one snapshot whose
+/// backend byte is that value (the decoder stops right after it on error).
+Buffer crafted_record(std::uint8_t state, int snapshot_backend = -1) {
+  common::ByteWriter w;
+  w.u64(1);  // id
+  w.u64(0);  // parent
+  w.u8(state);
+  w.u64(0);  // created
+  w.str("crafted");
+  w.u32(snapshot_backend < 0 ? 0 : 1);
+  if (snapshot_backend >= 0) {
+    w.u64(0);  // instance
+    w.u8(static_cast<std::uint8_t>(snapshot_backend));
+  }
+  return w.take();
+}
+
+TEST(CrCatalogTest, CorruptFramesAreRejectedOnOpen) {
+  struct Case {
+    const char* name;
+    Buffer log;
+  };
+  std::vector<Case> cases;
+  cases.push_back({"short frame_len", crafted_frame(12, 100, Buffer())});
+  // 12 + payload_len wraps to 4 in 32-bit arithmetic.
+  cases.push_back({"wrapping payload_len",
+                   crafted_frame(Catalog::kRecordAlign, 0xFFFF'FFF8u,
+                                 crafted_record(1))});
+  const Buffer bad_state = crafted_record(9);
+  cases.push_back({"bad state byte",
+                   crafted_frame(Catalog::kRecordAlign,
+                                 static_cast<std::uint32_t>(bad_state.size()),
+                                 bad_state)});
+  const Buffer bad_backend = crafted_record(1, 7);
+  cases.push_back(
+      {"bad backend byte",
+       crafted_frame(Catalog::kRecordAlign,
+                     static_cast<std::uint32_t>(bad_backend.size()),
+                     bad_backend)});
+
+  Cloud cloud(tiny_cfg(Backend::Qcow2Disk));
+  for (Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    std::string error;
+    cloud.run([](Cloud* cl, Case* c, std::string* error) -> Task<> {
+      Catalog::Config cfg;
+      cfg.name = std::string("/crafted/") + c->name;
+      pfs::PvfsClient pvfs(*cl->pvfs(), cfg.client_node);
+      const pfs::FileId file = co_await pvfs.create(cfg.name);
+      co_await pvfs.write(file, 0, c->log);
+      Catalog fresh(*cl, cfg);
+      try {
+        co_await fresh.open();
+      } catch (const CrError& e) {
+        *error = e.what();
+      }
+    }(&cloud, &c, &error));
+    EXPECT_NE(error.find("corrupt checkpoint catalog"), std::string::npos)
+        << "error: \"" << error << "\"";
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -124,16 +124,17 @@ TEST(FederationTest, DrainReplicatesManifestAndFloorCopies) {
 }
 
 // ---------------------------------------------------------------------------
-// Nearest-zone serving: a reader restarting in a foreign zone with
-// replication OFF pulls over the WAN class from the origin zone; with floor
-// replication ON the same restart serves from its local zone's replicas and
-// ships (almost) nothing over the WAN.
+// Nearest-zone serving: a reader restarting in a foreign zone after a
+// synchronous checkpoint (flush off: nothing drains, so nothing replicates)
+// pulls over the WAN class from the origin zone; after an asynchronous one
+// the drain's floor replicas let the same restart serve from its local zone
+// and ship (almost) nothing over the WAN.
 // ---------------------------------------------------------------------------
 
 TEST(FederationTest, NearestZoneRestartPrefersLocalReplicas) {
-  auto wan_bytes_after_foreign_restart = [](bool replicate) {
+  auto wan_bytes_after_foreign_restart = [](bool replicated) {
     CloudConfig cfg = fed_cfg(2, 8);
-    cfg.federation.replicate = replicate;
+    cfg.flush.enabled = replicated;
     Cloud cloud(cfg);
     std::uint64_t wan = 0;
     cloud.run([](Cloud* cl, std::uint64_t* wan) -> Task<> {
@@ -147,7 +148,7 @@ TEST(FederationTest, NearestZoneRestartPrefersLocalReplicas) {
         dep.destroy_all();
       }
       // Fresh driver restarts the checkpoint onto a zone-1 node; the image
-      // (and with replication off, every chunk) lives in zone 0.
+      // (and, unreplicated, every chunk) lives in zone 0.
       Deployment dep2(*cl, 1);
       Session session2(dep2);
       (void)co_await session2.restart(Selector::latest(), /*node_offset=*/4,

@@ -1,5 +1,5 @@
 // Asynchronous commit pipeline tests: the FlushAgent's provisional-version
-// contract, queue/merge/backpressure policies, and a randomized
+// contract, submission-order publishing and backpressure, and a randomized
 // crash-consistency harness — seeded fail-stop injection at every pipeline
 // stage boundary (staged / reducing / putting / pre-publish / post-publish /
 // parity-encode) followed by a bit-exact restore of the last published
@@ -109,24 +109,23 @@ struct FlushRig {
   }
 };
 
-core::MirrorDevice::Config mirror_config(flush::QueuePolicy policy,
-                                         std::size_t max_pending = 2) {
+constexpr std::size_t kMax = flush::FlushAgent::kMaxPending;
+
+core::MirrorDevice::Config mirror_config() {
   core::MirrorDevice::Config mcfg;
   mcfg.capacity = kImage;
   mcfg.flush.enabled = true;
-  mcfg.flush.policy = policy;
-  mcfg.flush.max_pending = max_pending;
   return mcfg;
 }
 
 // ---------------------------------------------------------------------------
-// Contract basics: provisional id, publish order, wait_drained, merge.
+// Contract basics: provisional id, publish order, wait_drained, backpressure.
 // ---------------------------------------------------------------------------
 
 TEST(FlushAgentTest, ProvisionalVersionPublishesAndReadsBack) {
   FlushRig rig;
   core::MirrorDevice m(*rig.store, rig.host, *rig.disks[3], 99, rig.base, 1,
-                       mirror_config(flush::QueuePolicy::Queue),
+                       mirror_config(),
                        rig.new_node_cache());
   rig.run([](FlushRig* rig, core::MirrorDevice* m) -> Task<> {
     co_await m->write(0, Buffer::pattern(3 * kChunk, 7));
@@ -152,7 +151,7 @@ TEST(FlushAgentTest, ProvisionalVersionPublishesAndReadsBack) {
 TEST(FlushAgentTest, QueuedCommitsPublishInSubmissionOrder) {
   FlushRig rig;
   core::MirrorDevice m(*rig.store, rig.host, *rig.disks[3], 99, rig.base, 1,
-                       mirror_config(flush::QueuePolicy::Queue, 4),
+                       mirror_config(),
                        rig.new_node_cache());
   rig.run([](FlushRig* rig, core::MirrorDevice* m) -> Task<> {
     const blob::BlobId ckpt = co_await m->ioctl_clone();
@@ -187,53 +186,42 @@ TEST(FlushAgentTest, QueuedCommitsPublishInSubmissionOrder) {
   }(&rig, &m));
 }
 
-TEST(FlushAgentTest, MergePolicyCoalescesQueuedGenerations) {
-  FlushRig rig;
-  core::MirrorDevice m(*rig.store, rig.host, *rig.disks[3], 99, rig.base, 1,
-                       mirror_config(flush::QueuePolicy::Merge, 8),
-                       rig.new_node_cache());
-  rig.run([](FlushRig* rig, core::MirrorDevice* m) -> Task<> {
-    const blob::BlobId ckpt = co_await m->ioctl_clone();
-    // First commit occupies the drain; the next two land while it runs and
-    // coalesce into one queued generation sharing one version id.
-    co_await m->write(0, Buffer::pattern(kChunk, 1));
-    const blob::VersionId v1 = co_await m->ioctl_commit();
-    co_await m->write(kChunk, Buffer::pattern(kChunk, 2));
-    const blob::VersionId v2 = co_await m->ioctl_commit();
-    co_await m->write(2 * kChunk, Buffer::pattern(kChunk, 3));
-    const blob::VersionId v3 = co_await m->ioctl_commit();
-    EXPECT_NE(v1, v2);
-    EXPECT_EQ(v2, v3);  // merged
-    co_await m->wait_drained();
-    EXPECT_EQ(m->flush_agent()->stats().commits_merged, 1u);
-    blob::BlobClient probe(*rig->store, rig->host);
-    const Buffer got = co_await probe.read(ckpt, v3, 0, 3 * kChunk);
-    Buffer expect = Buffer::pattern(kChunk, 1);
-    expect.append(Buffer::pattern(kChunk, 2));
-    expect.append(Buffer::pattern(kChunk, 3));
-    EXPECT_TRUE(got == expect);
-  }(&rig, &m));
-}
-
 TEST(FlushAgentTest, BackpressureBoundsStagedGenerations) {
+  // The drain stalls on its first generation, so nothing ever leaves the
+  // agent: kMaxPending commits stage, and the one after them blocks inside
+  // submit() until the drain moves again.
   FlushRig rig;
   core::MirrorDevice m(*rig.store, rig.host, *rig.disks[3], 99, rig.base, 1,
-                       mirror_config(flush::QueuePolicy::Queue, 1),
-                       rig.new_node_cache());
-  rig.run([](FlushRig* rig, core::MirrorDevice* m) -> Task<> {
+                       mirror_config(), rig.new_node_cache());
+  sim::Event resume(rig.sim);
+  m.flush_agent()->set_stage_probe([&resume](blob::CommitStage s) -> Task<> {
+    if (s == blob::CommitStage::Staged) co_await resume.wait();
+  });
+  std::size_t returned = 0;
+  rig.run([](FlushRig* rig, core::MirrorDevice* m, sim::Event* resume,
+             std::size_t* returned) -> Task<> {
     (void)co_await m->ioctl_clone();
-    for (int i = 0; i < 4; ++i) {
-      co_await m->write(static_cast<std::uint64_t>(i) * kChunk,
-                        Buffer::pattern(kChunk, 50 + i));
-      (void)co_await m->ioctl_commit();
-    }
+    auto writer = rig->sim.spawn(
+        "writer", [](core::MirrorDevice* m, std::size_t* returned) -> Task<> {
+          for (std::size_t i = 0; i <= kMax; ++i) {
+            co_await m->write(i * kChunk, Buffer::pattern(kChunk, 50 + i));
+            (void)co_await m->ioctl_commit();
+            ++*returned;
+          }
+        }(m, returned));
+    co_await rig->sim.delay(sim::kSecond);
+    // Stalled: kMaxPending generations held, the next submit blocked.
+    EXPECT_EQ(*returned, kMax);
+    EXPECT_EQ(m->flush_agent()->pending(), kMax);
+    EXPECT_EQ(m->flush_agent()->stats().backpressure_waits, 1u);
+    resume->set();
+    co_await writer->join();
     co_await m->wait_drained();
-    const flush::FlushStats& st = m->flush_agent()->stats();
-    EXPECT_EQ(st.drains_completed, 4u);
-    EXPECT_GT(st.backpressure_waits, 0u);
-    EXPECT_GT(st.blocked_time, 0);
-    (void)rig;
-  }(&rig, &m));
+  }(&rig, &m, &resume, &returned));
+  EXPECT_EQ(returned, kMax + 1);
+  const flush::FlushStats& st = m.flush_agent()->stats();
+  EXPECT_EQ(st.drains_completed, kMax + 1);
+  EXPECT_GT(st.blocked_time, sim::kSecond / 2);
 }
 
 TEST(FlushAgentTest, DrainFailurePoisonsAgentAndDropsQueuedGenerations) {
@@ -244,7 +232,7 @@ TEST(FlushAgentTest, DrainFailurePoisonsAgentAndDropsQueuedGenerations) {
   // queue and reporting the failure to every waiter.
   FlushRig rig(/*with_reduction=*/false, /*replication=*/2);
   core::MirrorDevice m(*rig.store, rig.host, *rig.disks[3], 99, rig.base, 1,
-                       mirror_config(flush::QueuePolicy::Queue, 4),
+                       mirror_config(),
                        rig.new_node_cache());
   rig.run([](FlushRig* rig, core::MirrorDevice* m) -> Task<> {
     const blob::BlobId ckpt = co_await m->ioctl_clone();
@@ -331,9 +319,6 @@ Task<> do_random_writes(Rng* rng, core::MirrorDevice* m, HarnessState* st) {
 void run_one_seed(int seed) {
   Rng rng(0xf1a5'0000 + static_cast<std::uint64_t>(seed));
   const bool with_reduction = rng.uniform(2) == 0;
-  const flush::QueuePolicy policy = rng.uniform(2) == 0
-                                        ? flush::QueuePolicy::Queue
-                                        : flush::QueuePolicy::Merge;
   const blob::CommitStage kill_stage = kStages[rng.uniform(6)];
   const int doomed_commits = 1 + static_cast<int>(rng.uniform(2));
 
@@ -346,7 +331,7 @@ void run_one_seed(int seed) {
 
   auto mirror = std::make_unique<core::MirrorDevice>(
       *rig.store, rig.host, *rig.disks[3], 99, rig.base, 1,
-      mirror_config(policy, 2), rig.new_node_cache(), nullptr,
+      mirror_config(), rig.new_node_cache(), nullptr,
       rig.reducer.get());
 
   // Phase 1: one or two fully-published baseline snapshots.
@@ -382,7 +367,7 @@ void run_one_seed(int seed) {
       co_await do_random_writes(rng, m, st);
       try {
         const blob::VersionId v = co_await m->ioctl_commit();
-        st->expected[v] = st->ref;  // overwritten on merge: latest capture
+        st->expected[v] = st->ref;
       } catch (const blob::BlobError&) {
         break;  // agent already fail-stopped (kill during submit window)
       }
@@ -441,7 +426,7 @@ void run_one_seed(int seed) {
   // dedup bait.
   auto restarted = std::make_unique<core::MirrorDevice>(
       *rig.store, rig.host, *rig.disks[3], 100, st->ckpt, latest,
-      mirror_config(policy, 2), rig.new_node_cache(), nullptr,
+      mirror_config(), rig.new_node_cache(), nullptr,
       rig.reducer.get());
   restarted->set_checkpoint_blob(st->ckpt, latest);
   st->ref = st->expected.at(latest);
@@ -550,7 +535,7 @@ TEST(RedundancyManagerTest, XorRebuildReconstructsLostMemberBitExact) {
     net::Fabric fabric(s, fcfg);
     redundancy::RedundancyConfig rcfg;
     rcfg.enabled = true;
-    rcfg.group_size = 3;
+    // Four attached nodes: groups are min(kGroupSize, 4 - 1) = 3 wide.
     redundancy::Manager mgr(s, fabric, rcfg, {});
     core::DecodedChunkCache c0(1 << 22), c1(1 << 22), c2(1 << 22),
         c3(1 << 22);
@@ -638,7 +623,7 @@ TEST(RedundancyManagerTest, DeadParityHolderInvalidatesSealedGroup) {
   net::Fabric fabric(s, fcfg);
   redundancy::RedundancyConfig rcfg;
   rcfg.enabled = true;
-  rcfg.group_size = 3;
+  // Four attached nodes: groups are min(kGroupSize, 4 - 1) = 3 wide.
   redundancy::Manager mgr(s, fabric, rcfg, {});
   core::DecodedChunkCache c0(1 << 22), c1(1 << 22), c2(1 << 22), c3(1 << 22);
   core::PrefetchBus bus(s);  // the committing mirrors' bus
@@ -729,7 +714,7 @@ TEST(FlushParityTest, SeededCopyServesAtMostPeerFanoutCopiesAtOnce) {
   // The writer commits one chunk while its node is the only one in the
   // tier: the drain seeds the decoded copy into the node's cache but forms
   // no parity group, so that cached copy is the only one anywhere.
-  core::MirrorDevice::Config wcfg = mirror_config(flush::QueuePolicy::Queue);
+  core::MirrorDevice::Config wcfg = mirror_config();
   wcfg.redundancy = &mgr;
   core::DecodedChunkCache& writer_cache = rig.new_node_cache();
   core::MirrorDevice writer(*rig.store, rig.host, *rig.disks[3], 99, rig.base,
@@ -800,14 +785,13 @@ TEST(FlushParityTest, KillAtParityEncodeRestoresBitExactWithNoOrphanedParity) {
   FlushRig rig;
   redundancy::RedundancyConfig rcfg;
   rcfg.enabled = true;
-  rcfg.group_size = 4;
   redundancy::Manager mgr(rig.sim, *rig.fabric, rcfg, {});
   const std::uint64_t hook = rig.store->add_chunk_reclaim_hook(
       [&mgr](const std::vector<blob::ChunkId>& ids) {
         mgr.forget_chunks(ids);
       });
 
-  core::MirrorDevice::Config mcfg = mirror_config(flush::QueuePolicy::Queue, 2);
+  core::MirrorDevice::Config mcfg = mirror_config();
   mcfg.redundancy = &mgr;
   // Two committing nodes so parity groups can form (the tier needs >= 2
   // attached nodes; with 2, each member seals into a width-1 group whose

@@ -571,19 +571,16 @@ TEST(FtRunnerTest, WeibullScheduleAlsoRecovers) {
 }
 
 TEST(FtRunnerTest, DetectionLatencyCountsTowardRestartOverhead) {
+  // Every rollback waits out the heartbeat timeout before redeploying, and
+  // that wait is part of the restart overhead the report charges.
   FtJobConfig job = small_job();
   job.failures = FailureSchedule::fixed({{50 * sim::kSecond, 0}});
-  job.detect_latency = 1 * sim::kSecond;
-  Cloud fast_cloud(tiny_cfg(Backend::BlobCR));
-  const FtReport quick = run_ft_job(fast_cloud, job);
-  job.detect_latency = 20 * sim::kSecond;
-  Cloud slow_cloud(tiny_cfg(Backend::BlobCR));
-  const FtReport slow = run_ft_job(slow_cloud, job);
-  ASSERT_TRUE(quick.completed);
-  ASSERT_TRUE(slow.completed);
-  EXPECT_GE(slow.restart_overhead,
-            quick.restart_overhead + 19 * sim::kSecond);
-  EXPECT_GT(slow.makespan, quick.makespan);
+  Cloud cloud(tiny_cfg(Backend::BlobCR));
+  const FtReport rep = run_ft_job(cloud, job);
+  ASSERT_TRUE(rep.completed);
+  ASSERT_GE(rep.restarts, 1u);
+  EXPECT_GE(rep.restart_overhead,
+            static_cast<sim::Duration>(rep.restarts) * kDetectLatency);
 }
 
 TEST(FtRunnerTest, DumpModeNames) {

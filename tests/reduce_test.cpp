@@ -4,6 +4,7 @@
 // shared chunks and digest-index invalidation after reclaim.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <memory>
 #include <vector>
 
@@ -87,7 +88,8 @@ ReductionConfig all_on() {
 
 /// Commits `data` at `offset` through the reduction pipeline.
 Task<VersionId> write_reduced(BlobClient& client, Reducer& red, BlobId blob,
-                              std::uint64_t offset, Buffer data) {
+                              std::uint64_t offset, Buffer data,
+                              blob::CommitProbe* probe = nullptr) {
   std::vector<BlobClient::ExtentSpec> specs;
   specs.push_back({offset, data.size()});
   const Buffer* owned = &data;
@@ -96,8 +98,11 @@ Task<VersionId> write_reduced(BlobClient& client, Reducer& red, BlobId blob,
                       std::uint64_t len) -> Task<Buffer> {
     co_return owned->slice(off - offset, len);
   };
+  blob::CommitOptions opts;
+  opts.reducer = &red;
+  opts.probe = probe;
   co_return co_await client.write_extents_via(blob, std::move(specs),
-                                              &reader, &red);
+                                              &reader, std::move(opts));
 }
 
 TEST(ReduceTest, ZeroSuppressionRoundTrip) {
@@ -310,13 +315,11 @@ TEST(ReduceTest, PinsHeldThroughMetadataPublish) {
   // reduce phase; after that, only the metadata co_awaits (put_nodes,
   // publish) remain. The Ref pins must span those suspensions too: a GC
   // running there sees the chunks in no published tree, so without the pins
-  // it would reclaim them under the about-to-publish version. digest_bps
-  // stretches the reduce phase so the GC lands deterministically in the
-  // metadata window.
+  // it would reclaim them under the about-to-publish version. The commit
+  // parks at its PrePublish probe (put_nodes done, publish not yet issued)
+  // so the GC lands deterministically in the metadata window.
   TestCluster tc;
-  ReductionConfig cfg = all_on();
-  cfg.digest_bps = 1e6;  // ~1 ms per chunk digest
-  Reducer red(*tc.store, cfg);
+  Reducer red(*tc.store, all_on());
   const Buffer shared = Buffer::pattern(2 * kChunk, 41);
   const Buffer other = Buffer::pattern(2 * kChunk, 42);
   bool read_ok = false;
@@ -327,22 +330,29 @@ TEST(ReduceTest, PinsHeldThroughMetadataPublish) {
     (void)co_await write_reduced(a, *red, blob_a, 0, *shared);  // indexes
     (void)co_await write_reduced(a, *red, blob_a, 0, *other);   // obsoletes v1
 
+    sim::Event parked(tc->sim);
+    sim::Event resume(tc->sim);
+    blob::CommitProbe probe = [&parked,
+                               &resume](blob::CommitStage s) -> Task<> {
+      if (s != blob::CommitStage::PrePublish) co_return;
+      parked.set();
+      co_await resume.wait();
+    };
     BlobClient b(*tc->store, tc->client_node);
     const BlobId blob_b = co_await b.create();
     auto commit = tc->sim.spawn(
         "commit", [](BlobClient* b, Reducer* red, BlobId blob,
-                     const Buffer* data) -> Task<> {
-          (void)co_await write_reduced(*b, *red, blob, 0, *data);
-        }(&b, red, blob_b, shared));
-    // ~1.35 ms: reduce phase (resolve + digests) done, every chunk a Ref,
-    // nothing stores; ~1.9 ms: publish completes. Land in between.
-    co_await tc->sim.delay(1600 * sim::kMicrosecond);
+                     const Buffer* data, blob::CommitProbe* probe) -> Task<> {
+          (void)co_await write_reduced(*b, *red, blob, 0, *data, probe);
+        }(&b, red, blob_b, shared, &probe));
+    co_await parked.wait();
     EXPECT_FALSE(commit->finished());
     GarbageCollector gc(*tc->store);
     const GarbageCollector::Result r = gc.collect(blob_a, 2);
     EXPECT_EQ(r.chunks_deleted, 0u);
     EXPECT_EQ(r.chunks_kept_shared, 2u);
 
+    resume.set();
     co_await commit->join();
     const Buffer back = co_await b.read(blob_b, 1, 0, shared->size());
     *read_ok = (back == *shared);
@@ -434,8 +444,10 @@ TEST(ReduceTest, PhantomRatioCompression) {
   cfg.zero_suppression = true;
   cfg.dedup = true;  // must NOT dedup phantom payloads
   cfg.compression = true;
-  cfg.phantom_compression_ratio = 0.5;
   Reducer red(*tc.store, cfg);
+  const auto stored_chunk = static_cast<std::uint64_t>(
+      std::ceil(kChunk * reduce::kPhantomCompressionRatio));
+  ASSERT_LT(stored_chunk, kChunk);
   const Buffer data = Buffer::phantom(4 * kChunk);
   std::uint64_t back_digest = 0;
   std::uint64_t back_size = 0;
@@ -453,8 +465,8 @@ TEST(ReduceTest, PhantomRatioCompression) {
   EXPECT_EQ(red.stats().dedup_hits, 0u);
   EXPECT_EQ(red.stats().zero_chunks, 0u);
   EXPECT_EQ(red.stats().compressed_chunks, 4u);
-  EXPECT_EQ(red.stats().shipped_bytes, 4 * (kChunk / 2));
-  EXPECT_EQ(tc.store->total_stored_bytes(), 4 * (kChunk / 2));
+  EXPECT_EQ(red.stats().shipped_bytes, 4 * stored_chunk);
+  EXPECT_EQ(tc.store->total_stored_bytes(), 4 * stored_chunk);
   // Round trip preserves the logical payload identity.
   EXPECT_EQ(back_size, 4 * kChunk);
   EXPECT_EQ(back_digest, data.digest());
