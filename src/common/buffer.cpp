@@ -1,16 +1,13 @@
 #include "common/buffer.h"
 
 #include <algorithm>
+#include <array>
 #include <cassert>
 #include <cstring>
 
 #include "common/digest.h"
 
 namespace blobcr::common {
-
-namespace {
-constexpr std::uint64_t kPhantomSalt = 0x941707011ULL;
-}
 
 Buffer Buffer::real(std::vector<std::byte> data) {
   Buffer b;
@@ -54,7 +51,7 @@ Buffer Buffer::pattern(std::size_t n, std::uint64_t seed) {
 
 Buffer Buffer::from_string(std::string_view text) {
   std::vector<std::byte> data(text.size());
-  std::memcpy(data.data(), text.data(), text.size());
+  if (!text.empty()) std::memcpy(data.data(), text.data(), text.size());
   return real(std::move(data));
 }
 
@@ -91,8 +88,16 @@ bool Buffer::all_zero() const {
   if (segs_.empty()) return false;
   for (const Segment& s : segs_) {
     if (s.phantom) return false;
-    for (const std::byte b : s.data) {
-      if (b != std::byte{0}) return false;
+    const std::byte* p = s.data.data();
+    const std::size_t n = s.data.size();
+    std::size_t i = 0;
+    for (; i + 8 <= n; i += 8) {
+      std::uint64_t word = 0;
+      std::memcpy(&word, p + i, 8);
+      if (word != 0) return false;
+    }
+    for (; i < n; ++i) {
+      if (p[i] != std::byte{0}) return false;
     }
   }
   return true;
@@ -112,20 +117,24 @@ std::span<std::byte> Buffer::mutable_bytes() {
 }
 
 std::uint64_t Buffer::digest() const {
-  if (segs_.empty()) return fnv1a(std::span<const std::byte>{});
+  if (segs_.empty()) return xxh64({});
   if (segs_.size() == 1 && segs_[0].phantom) {
     // Keep the historical pure-phantom formula.
     return mix64(kPhantomSalt ^ size_);
   }
-  std::uint64_t h = kFnvOffset;
+  // Chained over segments from seed 0, so a fully-real (one-segment) buffer
+  // digests as plain xxh64(bytes).
+  std::uint64_t h = 0;
   for (const Segment& s : segs_) {
     if (s.phantom) {
-      const std::uint64_t marker = mix64(kPhantomSalt ^ s.length);
-      for (int i = 0; i < 8; ++i) {
-        h = fnv1a_step(h, static_cast<std::uint8_t>(marker >> (i * 8)));
+      std::array<std::byte, 8> marker{};
+      const std::uint64_t m = mix64(kPhantomSalt ^ s.length);
+      for (std::size_t i = 0; i < marker.size(); ++i) {
+        marker[i] = static_cast<std::byte>(m >> (i * 8));
       }
+      h = xxh64(marker, h);
     } else {
-      h = fnv1a({s.data.data(), s.data.size()}, h);
+      h = xxh64(s.data, h);
     }
   }
   return h;

@@ -29,6 +29,9 @@ namespace blobcr::common {
 
 class Buffer {
  public:
+  /// Salt of the length-derived digest a phantom segment contributes.
+  static constexpr std::uint64_t kPhantomSalt = 0x941707011ULL;
+
   /// Empty buffer.
   Buffer() = default;
 
@@ -56,9 +59,10 @@ class Buffer {
   std::span<const std::byte> bytes() const;
   std::span<std::byte> mutable_bytes();
 
-  /// Order-sensitive digest over content; phantom segments contribute a
-  /// length-derived sentinel. Equal buffers digest equally; a pure-phantom
-  /// buffer's digest depends only on its length.
+  /// Order-sensitive XXH64 digest over content (a fully-real buffer digests
+  /// as xxh64(bytes, 0)); phantom segments contribute a length-derived
+  /// sentinel. Equal buffers digest equally; a pure-phantom buffer's digest
+  /// depends only on its length.
   std::uint64_t digest() const;
 
   /// Copy of [off, off+len). Requires off+len <= size().

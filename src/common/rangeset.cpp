@@ -83,6 +83,39 @@ std::vector<Range> RangeSet::gaps(std::uint64_t begin, std::uint64_t end) const 
   return out;
 }
 
+std::optional<Range> RangeSet::fit_gap(std::uint64_t begin, std::uint64_t end,
+                                       std::uint64_t cursor,
+                                       std::uint64_t need) const {
+  // Visits, in order, the gaps of [begin, end) from the one holding or
+  // following `from` (>= begin) until `visit` returns true.
+  const auto walk = [&](std::uint64_t from, auto&& visit) {
+    auto it = ranges_.upper_bound(from);
+    std::uint64_t lo = it == ranges_.begin()
+                           ? begin
+                           : std::max(begin, std::prev(it)->second);
+    while (lo < end) {
+      const std::uint64_t hi =
+          it == ranges_.end() ? end : std::min(end, it->first);
+      if (lo < hi && visit(Range{lo, hi})) return;
+      if (it == ranges_.end()) return;
+      lo = it->second;
+      ++it;
+    }
+  };
+  std::optional<Range> chosen;
+  walk(std::max(begin, cursor), [&](const Range& g) {
+    if (g.end <= cursor || g.length() < need) return false;
+    chosen = g;
+    return true;
+  });
+  if (chosen) return chosen;
+  walk(begin, [&](const Range& g) {
+    if (!chosen || g.length() > chosen->length()) chosen = g;
+    return false;
+  });
+  return chosen;
+}
+
 std::uint64_t RangeSet::total_length() const {
   std::uint64_t total = 0;
   for (const auto& [b, e] : ranges_) total += e - b;

@@ -5,6 +5,7 @@
 
 #include <cstdint>
 #include <map>
+#include <optional>
 #include <vector>
 
 namespace blobcr::common {
@@ -33,6 +34,12 @@ class RangeSet {
   std::vector<Range> intersection(std::uint64_t begin, std::uint64_t end) const;
   /// Portions of [begin, end) that are NOT covered, in order.
   std::vector<Range> gaps(std::uint64_t begin, std::uint64_t end) const;
+  /// The gap of [begin, end) an extent allocator takes for `need` units at
+  /// `cursor`: the first gap that ends past `cursor` and holds `need`;
+  /// failing that, the first longest gap. Empty iff [begin, end) is covered.
+  /// Walks the ranges in place; only a miss past the cursor scans them all.
+  std::optional<Range> fit_gap(std::uint64_t begin, std::uint64_t end,
+                               std::uint64_t cursor, std::uint64_t need) const;
 
   std::uint64_t total_length() const;
   bool empty() const { return ranges_.empty(); }

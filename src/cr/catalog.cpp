@@ -227,7 +227,13 @@ void Catalog::parse_log(const Buffer& log) {
                     std::to_string(off));
     const Buffer payload_bytes = log.slice(off + 12, payload_len);
     ByteReader payload(payload_bytes);
-    CheckpointRecord rec = decode_record(payload);
+    CheckpointRecord rec;
+    try {
+      rec = decode_record(payload);
+    } catch (const common::CodecError&) {  // record shorter than its fields
+      throw CrError("corrupt checkpoint catalog frame at offset " +
+                    std::to_string(off) + ": truncated record");
+    }
     next_id_ = std::max(next_id_, rec.id + 1);
     records_.push_back(std::move(rec));
     frames_.push_back({off, frame_len});

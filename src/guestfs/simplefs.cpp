@@ -262,26 +262,12 @@ void SimpleFs::ensure_blocks(Inode& ino, std::uint64_t blocks) {
     // contiguous free run at/after the cursor instead of filling small
     // holes left by scattered small files.
     if (need > 8) {
-      const auto gaps = allocated_.gaps(data_start_, total_blocks_);
-      const common::Range* chosen = nullptr;
-      for (const common::Range& g : gaps) {  // first fitting gap after cursor
-        if (g.end > next_fit_ && g.length() >= need) {
-          chosen = &g;
-          break;
-        }
-      }
-      if (chosen == nullptr) {  // otherwise the largest gap anywhere
-        for (const common::Range& g : gaps) {
-          if (chosen == nullptr || g.length() > chosen->length()) chosen = &g;
-        }
-      }
-      if (chosen == nullptr) throw FsError("file system full");
-      const std::uint64_t begin = std::max(chosen->begin, next_fit_) < chosen->end &&
-                                          std::max(chosen->begin, next_fit_) +
-                                                  need <=
-                                              chosen->end
-                                      ? std::max(chosen->begin, next_fit_)
-                                      : chosen->begin;
+      const std::optional<common::Range> chosen =
+          allocated_.fit_gap(data_start_, total_blocks_, next_fit_, need);
+      if (!chosen) throw FsError("file system full");
+      const std::uint64_t from = std::max(chosen->begin, next_fit_);
+      const std::uint64_t begin =
+          from + need <= chosen->end ? from : chosen->begin;
       const std::uint64_t take = std::min(need, chosen->end - begin);
       allocated_.insert(begin, begin + take);
       next_fit_ = begin + take >= total_blocks_ ? data_start_ : begin + take;

@@ -1,6 +1,9 @@
 // Unit + property tests for common: Buffer, RangeSet, Rng, digests, strutil.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <optional>
 #include <set>
 #include <vector>
 
@@ -208,6 +211,49 @@ TEST_P(RangeSetPropertyTest, MatchesReferenceBitset) {
   }
 }
 
+// Property test: fit_gap's in-place walk picks the same gap as the rule it
+// replaced in the extent allocator, computed over the full gaps() vector:
+// the first gap ending past the cursor that holds `need`, else the first
+// longest gap.
+TEST_P(RangeSetPropertyTest, FitGapMatchesGapsRule) {
+  Rng rng(GetParam());
+  constexpr std::uint64_t kUniverse = 256;
+  RangeSet rs;
+  int fallbacks = 0;
+  for (int step = 0; step < 300; ++step) {
+    const std::uint64_t a = rng.uniform(kUniverse);
+    const std::uint64_t b = a + rng.uniform(kUniverse / 8);
+    if (rng.chance(0.6)) {
+      rs.insert(a, b);
+    } else {
+      rs.erase(a, b);
+    }
+    const std::uint64_t lo = rng.uniform(kUniverse / 4);
+    const std::uint64_t hi = lo + rng.uniform(kUniverse - lo + 1);
+    const std::uint64_t cursor = rng.uniform(kUniverse + 16);
+    const std::uint64_t need = rng.uniform(48);
+
+    const auto gaps = rs.gaps(lo, hi);
+    std::optional<Range> expected;
+    for (const Range& g : gaps) {
+      if (g.end > cursor && g.length() >= need) {
+        expected = g;
+        break;
+      }
+    }
+    if (!expected) {
+      fallbacks += gaps.empty() ? 0 : 1;
+      for (const Range& g : gaps) {
+        if (!expected || g.length() > expected->length()) expected = g;
+      }
+    }
+    ASSERT_EQ(rs.fit_gap(lo, hi, cursor, need), expected)
+        << "window=[" << lo << "," << hi << ") cursor=" << cursor
+        << " need=" << need;
+  }
+  EXPECT_GT(fallbacks, 0);  // the longest-gap fallback was exercised
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, RangeSetPropertyTest,
                          ::testing::Values(1, 2, 3, 4, 5, 99, 1234));
 
@@ -246,13 +292,77 @@ TEST(RngTest, Uniform01InUnitInterval) {
   }
 }
 
-TEST(DigestTest, KnownFnvVector) {
-  // FNV-1a("a") = 0xaf63dc4c8601ec8c
-  EXPECT_EQ(fnv1a(std::string_view("a")), 0xaf63dc4c8601ec8cULL);
+// Published XXH64 known-answer vectors (seed 0), taken through
+// Buffer::digest(): a fully-real buffer digests as plain xxh64(bytes).
+TEST(DigestTest, KnownXxh64Vectors) {
+  EXPECT_EQ(Buffer().digest(), 0xef46db3751d8e999ULL);
+  EXPECT_EQ(Buffer::from_string("").digest(), 0xef46db3751d8e999ULL);
+  EXPECT_EQ(Buffer::from_string("a").digest(), 0xd24ec4f1a98c6e5bULL);
+  EXPECT_EQ(Buffer::from_string("abc").digest(), 0x44bc2cf5ad770999ULL);
+  // 39 bytes: one 32-byte stripe, then the 8/4/1-byte tail steps.
+  EXPECT_EQ(
+      Buffer::from_string("Nobody inspects the spammish repetition").digest(),
+      0xfbcea83c8a378bf1ULL);
 }
 
 TEST(DigestTest, OrderSensitive) {
-  EXPECT_NE(fnv1a(std::string_view("ab")), fnv1a(std::string_view("ba")));
+  EXPECT_NE(Buffer::from_string("ab").digest(),
+            Buffer::from_string("ba").digest());
+}
+
+TEST(DigestTest, AppendedPiecesDigestAsFlatBuffer) {
+  const Buffer flat = Buffer::pattern(1000, 11);
+  Buffer built;
+  std::size_t off = 0;
+  for (std::size_t piece = 1; off < flat.size(); piece = piece % 7 + 1) {
+    const std::size_t len = std::min(piece, flat.size() - off);
+    built.append(flat.slice(off, len));
+    off += len;
+  }
+  EXPECT_EQ(built, flat);
+  EXPECT_EQ(built.digest(), flat.digest());
+}
+
+TEST(DigestTest, MixedBuffersAreOrderSensitive) {
+  const Buffer real = Buffer::pattern(100, 5);
+  Buffer real_then_phantom = real;
+  real_then_phantom.append(Buffer::phantom(64));
+  Buffer phantom_then_real = Buffer::phantom(64);
+  phantom_then_real.append(real);
+  EXPECT_NE(real_then_phantom.digest(), phantom_then_real.digest());
+  EXPECT_NE(real_then_phantom.digest(), real.digest());
+  // The chain: each segment is hashed with the previous digest as its seed;
+  // a phantom segment feeds its little-endian length marker.
+  std::array<std::byte, 8> marker{};
+  const std::uint64_t m = mix64(Buffer::kPhantomSalt ^ 64);
+  for (std::size_t i = 0; i < marker.size(); ++i) {
+    marker[i] = static_cast<std::byte>(m >> (i * 8));
+  }
+  EXPECT_EQ(real_then_phantom.digest(), xxh64(marker, xxh64(real.bytes())));
+  // The phantom marker depends on the phantom length.
+  Buffer longer_phantom = real;
+  longer_phantom.append(Buffer::phantom(65));
+  EXPECT_NE(real_then_phantom.digest(), longer_phantom.digest());
+}
+
+TEST(DigestTest, PurePhantomKeepsLengthFormula) {
+  for (const std::size_t n : {1u, 7u, 4096u, 262144u}) {
+    EXPECT_EQ(Buffer::phantom(n).digest(), mix64(Buffer::kPhantomSalt ^ n));
+  }
+}
+
+TEST(BufferTest, AllZeroEdgeCases) {
+  EXPECT_FALSE(Buffer().all_zero());
+  EXPECT_FALSE(Buffer::phantom(16).all_zero());
+  Buffer zeros_then_phantom = Buffer::zeros(16);
+  zeros_then_phantom.append(Buffer::phantom(8));
+  EXPECT_FALSE(zeros_then_phantom.all_zero());
+  for (std::size_t n = 1; n <= 17; ++n) {
+    Buffer b = Buffer::zeros(n);
+    EXPECT_TRUE(b.all_zero()) << n;
+    b.mutable_bytes()[n - 1] = std::byte{1};
+    EXPECT_FALSE(b.all_zero()) << n;
+  }
 }
 
 TEST(StrutilTest, Strf) {

@@ -128,9 +128,10 @@ TEST(CrCatalogTest, QcowCatalogOnPvfsSurvivesDriverLoss) {
 }
 
 // ---------------------------------------------------------------------------
-// The catalog log is a persistent format: a frame whose lengths disagree or
-// whose record holds an out-of-range enum byte is rejected with CrError when
-// a fresh driver opens the log, instead of decoding garbage.
+// The catalog log is a persistent format: a frame whose lengths disagree,
+// whose record holds an out-of-range enum byte or whose record is truncated
+// is rejected with CrError when a fresh driver opens the log, instead of
+// decoding garbage.
 // ---------------------------------------------------------------------------
 
 constexpr std::uint32_t kFrameMagic = 0x4b524342;  // "BCRK"
@@ -187,6 +188,14 @@ TEST(CrCatalogTest, CorruptFramesAreRejectedOnOpen) {
        crafted_frame(Catalog::kRecordAlign,
                      static_cast<std::uint32_t>(bad_backend.size()),
                      bad_backend)});
+
+  // Lengths agree, but the record stops right after a valid backend byte.
+  const Buffer truncated = crafted_record(1, 0);
+  cases.push_back(
+      {"truncated record",
+       crafted_frame(Catalog::kRecordAlign,
+                     static_cast<std::uint32_t>(truncated.size()),
+                     truncated)});
 
   Cloud cloud(tiny_cfg(Backend::Qcow2Disk));
   for (Case& c : cases) {
